@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import read_curves_csv, read_responses_csv
+from .curves import CurveSet, read_curves_csv, read_responses_csv
 from .estimators import (
     BandwidthSelectionError,
+    CvResult,
+    MeanFit,
+    TrainedMetric,
+    VarianceFit,
     cv_bandwidth,
-    default_bandwidth_grid,
     fit_mean,
     fit_variance,
     predict_mean_set,
@@ -32,12 +35,7 @@ from .estimators import (
     squared_residuals,
 )
 from .kernels import KERNEL_KINDS, POLICY_FALLBACK
-from .semimetric import (
-    SemiMetricSpec,
-    feature_matrix,
-    feature_weights,
-    pairwise_from_features,
-)
+from .semimetric import SemiMetricSpec
 from .simulate import DESIGNS, SimSpec, SimulatedDataset, gen_dataset
 
 METHODS = ("residual", "direct")
@@ -175,6 +173,74 @@ def discrete_mse(estimates, truths) -> float:
     return float(np.mean(np.square(e - t)))
 
 
+@dataclass(frozen=True)
+class PipelineFit:
+    """What :func:`fit_pipeline` produced.
+
+    ``cv_m`` and each entry of ``cv_v`` are None where the bandwidth was
+    given; ``pseudo_fallbacks`` counts the squared residuals whose
+    smoothing fell back to a nearest neighbor (0 when none were computed).
+    """
+
+    mean: MeanFit
+    cv_m: CvResult | None
+    variances: tuple[VarianceFit, ...]
+    cv_v: tuple[CvResult | None, ...]
+    pseudo_fallbacks: int
+
+
+def fit_pipeline(
+    train: CurveSet,
+    y,
+    spec: SemiMetricSpec,
+    kernel: str = "quadratic",
+    stages=(),
+    h_m: float | None = None,
+    grid_size: int = 20,
+    policy: str = POLICY_FALLBACK,
+    self_inclusion: str = "include_self",
+    residual_pseudo=None,
+) -> PipelineFit:
+    """Fit the mean, then one variance function per stage.
+
+    Each stage is (method, variance spec, h_v or None). A bandwidth left as
+    None is chosen by cross-validation over the default grid of its stage's
+    semi-metric: h_m on the responses, h_v on the stage's pseudo-responses
+    (squared residuals around the fitted mean, or squared responses for the
+    direct method). A stage whose spec has the same trained basis as the
+    mean's shares its features, distances and grid. ``residual_pseudo``
+    replaces the squared residuals, e.g. with squared errors around a known
+    mean.
+    """
+
+    def select(metric: TrainedMetric, responses, h):
+        # a given bandwidth skips cross-validation
+        if h is not None:
+            return h, None
+        cv = cv_bandwidth(train, responses, metric.spec, kernel,
+                          metric.grid(grid_size), dist=metric.dist)
+        return cv.bandwidth, cv
+
+    metric = TrainedMetric(spec, train)
+    h_m, cv_m = select(metric, y, h_m)
+    mean_fit = fit_mean(train, y, metric, kernel, h_m, policy)
+    residuals = residual_pseudo
+    pseudo_fallbacks = 0
+    fits, cvs = [], []
+    for method, spec_v, h_v in stages:
+        if method == "residual" and residuals is None:
+            residuals, fb = squared_residuals(mean_fit, self_inclusion)
+            pseudo_fallbacks = int(fb.sum())
+        pseudo = residuals if method == "residual" else mean_fit.y**2
+        metric_v = metric.for_spec(spec_v)
+        h_v, cv_v = select(metric_v, pseudo, h_v)
+        fits.append(fit_variance(method, mean_fit, metric_v, bandwidth=h_v,
+                                 self_inclusion=self_inclusion,
+                                 pseudo_responses=pseudo))
+        cvs.append(cv_v)
+    return PipelineFit(mean_fit, cv_m, tuple(fits), tuple(cvs), pseudo_fallbacks)
+
+
 def run_replication(
     cfg: ExperimentConfig,
     rep_index: int,
@@ -183,10 +249,11 @@ def run_replication(
 ) -> ReplicationRecord:
     """One Monte-Carlo replication.
 
-    Steps: draw the dataset for (base_seed, rep_index); build the pairwise
-    distances and candidate bandwidth grid once; pick h_m by CV on the
-    responses; then per method, pick h_v by CV on the pseudo-responses and
-    score the in-sample variance estimates against the true variance.
+    Steps: draw the dataset for (base_seed, rep_index); run
+    :func:`fit_pipeline` with one variance stage per method, all on the
+    config's semi-metric, so the distances and the candidate grid are built
+    once; then score each method's in-sample variance estimates against
+    the true variance.
 
     ``dataset`` substitutes a pre-built dataset for the seeded draw;
     ``known_mean`` replaces the residual method's pseudo-responses with
@@ -198,56 +265,30 @@ def run_replication(
     if dataset is None:
         dataset = gen_dataset(SimSpec(cfg.design, cfg.n, cfg.base_seed, rep_index))
     spec = cfg.resolved_spec
-    feats = feature_matrix(spec, dataset.curves)
-    fw = feature_weights(spec, dataset.curves.grid)
-    dist = pairwise_from_features(feats, feats, fw)
-    grid = default_bandwidth_grid(dist, cfg.grid_size)
+    known = (dataset.y - dataset.m_true) ** 2 if known_mean else None
+    try:
+        fit = fit_pipeline(dataset.curves, dataset.y, spec, cfg.kernel,
+                           [(method, spec, None) for method in cfg.methods],
+                           grid_size=cfg.grid_size, self_inclusion=cfg.self_inclusion,
+                           residual_pseudo=known)
+    except BandwidthSelectionError as exc:
+        return ReplicationRecord(rep_index, failed=True, error=str(exc))
 
     h_v: dict = {}
     mse: dict = {}
     fallbacks: dict = {}
     clips: dict = {}
-    try:
-        cv_m = cv_bandwidth(dataset.curves, dataset.y, spec, cfg.kernel, grid, dist=dist)
-        mean_fit = fit_mean(
-            dataset.curves, dataset.y, spec, cfg.kernel, cv_m.bandwidth,
-            POLICY_FALLBACK, dist=dist,
-        )
-        for method in cfg.methods:
-            if method == "residual":
-                if known_mean:
-                    pseudo = (dataset.y - dataset.m_true) ** 2
-                else:
-                    pseudo, fb_pseudo = squared_residuals(mean_fit, cfg.self_inclusion)
-                    fallbacks["residual_pseudo"] = int(fb_pseudo.sum())
-            else:
-                pseudo = dataset.y**2
-            cv_v = cv_bandwidth(dataset.curves, pseudo, spec, cfg.kernel, grid, dist=dist)
-            vfit = fit_variance(
-                method,
-                mean_fit,
-                spec,
-                bandwidth=cv_v.bandwidth,
-                self_inclusion=cfg.self_inclusion,
-                pseudo_responses=pseudo,
-                dist=dist,
-            )
-            v_hat, fb, clip = predict_variance_insample(vfit)
-            h_v[method] = cv_v.bandwidth
-            mse[method] = discrete_mse(v_hat, dataset.v_true)
-            fallbacks[f"{method}_eval"] = int(fb.sum())
-            if method == "direct":
-                clips["direct"] = int(clip.sum())
-    except BandwidthSelectionError as exc:
-        return ReplicationRecord(rep_index, failed=True, error=str(exc))
-    return ReplicationRecord(
-        rep_index,
-        h_m=cv_m.bandwidth,
-        h_v=h_v,
-        mse=mse,
-        fallbacks=fallbacks,
-        clips=clips,
-    )
+    if "residual" in cfg.methods and not known_mean:
+        fallbacks["residual_pseudo"] = fit.pseudo_fallbacks
+    for method, vfit in zip(cfg.methods, fit.variances):
+        v_hat, fb, clip = predict_variance_insample(vfit)
+        h_v[method] = vfit.bandwidth
+        mse[method] = discrete_mse(v_hat, dataset.v_true)
+        fallbacks[f"{method}_eval"] = int(fb.sum())
+        if method == "direct":
+            clips["direct"] = int(clip.sum())
+    return ReplicationRecord(rep_index, h_m=fit.mean.bandwidth, h_v=h_v, mse=mse,
+                             fallbacks=fallbacks, clips=clips)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -427,60 +468,28 @@ def chemo_workflow(cfg: ChemoConfig) -> ChemoReport:
     y_train = y[: cfg.train_size]
     y_val = y[cfg.train_size :]
 
-    spec_m = cfg.semimetric(cfg.mean_order)
-    feats_m = feature_matrix(spec_m, train)
-    dist_m = pairwise_from_features(feats_m, feats_m, feature_weights(spec_m, train.grid))
-    grid_m = default_bandwidth_grid(dist_m, cfg.grid_size)
-    cv_m = cv_bandwidth(train, y_train, spec_m, cfg.kernel, grid_m, dist=dist_m)
-    mean_fit = fit_mean(
-        train, y_train, spec_m, cfg.kernel, cv_m.bandwidth, POLICY_FALLBACK, dist=dist_m
-    )
-
-    m_val, fb_mean = predict_mean_set(mean_fit, val)
+    stages = [("residual", cfg.semimetric(o), None) for o in cfg.candidate_orders]
+    fit = fit_pipeline(train, y_train, cfg.semimetric(cfg.mean_order), cfg.kernel,
+                       stages, grid_size=cfg.grid_size)
+    m_val, fb_mean = predict_mean_set(fit.mean, val)
     if fb_mean.all():
         raise RuntimeError(
             "every validation mean prediction fell back to a nearest neighbor; "
             "the selected mean bandwidth does not cover the validation curves"
         )
     r_val = (y_val - m_val) ** 2
-    pseudo, _ = squared_residuals(mean_fit)
 
     h_v: dict = {}
     val_mse: dict = {}
     var_fallbacks: dict = {}
     v_by_order: dict = {}
-    for order in cfg.candidate_orders:
-        spec_v = cfg.semimetric(order)
-        feats_v = feature_matrix(spec_v, train)
-        dist_v = pairwise_from_features(
-            feats_v, feats_v, feature_weights(spec_v, train.grid)
-        )
-        grid_v = default_bandwidth_grid(dist_v, cfg.grid_size)
-        cv_v = cv_bandwidth(train, pseudo, spec_v, cfg.kernel, grid_v, dist=dist_v)
-        vfit = fit_variance(
-            "residual",
-            mean_fit,
-            spec_v,
-            bandwidth=cv_v.bandwidth,
-            pseudo_responses=pseudo,
-            dist=dist_v,
-        )
+    for order, vfit in zip(cfg.candidate_orders, fit.variances):
         v_hat, fb_v, _ = predict_variance_set(vfit, val)
-        h_v[order] = cv_v.bandwidth
+        h_v[order] = vfit.bandwidth
         val_mse[order] = discrete_mse(v_hat, r_val)
         var_fallbacks[order] = int(fb_v.sum())
         v_by_order[order] = v_hat
 
     chosen = min(cfg.candidate_orders, key=lambda o: val_mse[o])
-    return ChemoReport(
-        cfg,
-        n,
-        cv_m.bandwidth,
-        h_v,
-        val_mse,
-        chosen,
-        v_by_order[chosen],
-        r_val,
-        int(fb_mean.sum()),
-        var_fallbacks,
-    )
+    return ChemoReport(cfg, n, fit.mean.bandwidth, h_v, val_mse, chosen,
+                       v_by_order[chosen], r_val, int(fb_mean.sum()), var_fallbacks)

@@ -28,6 +28,7 @@ from .bench import (
     ExperimentAbortError,
     ExperimentConfig,
     chemo_workflow,
+    fit_pipeline,
     run_experiment,
     serialize_report,
 )
@@ -40,14 +41,11 @@ from .curves import (
 )
 from .estimators import (
     BandwidthSelectionError,
-    cv_bandwidth,
-    default_bandwidth_grid,
-    fit_mean,
-    fit_variance,
+    TrainedMetric,
     predict_mean_set,
     predict_variance_insample,
     predict_variance_set,
-    squared_residuals,
+    quantile_grid,
 )
 from .kernels import (
     KERNEL_KINDS,
@@ -55,15 +53,7 @@ from .kernels import (
     WEIGHT_POLICIES,
     EmptyNeighborhoodError,
 )
-from .semimetric import (
-    SEMIMETRIC_KINDS,
-    SemiMetricSpec,
-    feature_matrix,
-    feature_weights,
-    pairwise_from_features,
-    small_ball_fraction,
-    train_projection,
-)
+from .semimetric import SEMIMETRIC_KINDS, SemiMetricSpec
 from .simulate import DESIGNS, SimSpec, gen_dataset
 
 EXIT_OK = 0
@@ -260,6 +250,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command in ("simulate", "bench") and args.seed is None:
         parser.error(f"--seed is required for {args.command}")
+    if (args.command == "fit" and args.semimetric == "pca_projection"
+            and args.v_order is not None):
+        parser.error("--v-order applies to the deriv_l2 semi-metric only")
     if args.threads is None:
         env = os.environ.get("FUNVAR_THREADS")
         if env is not None:
@@ -298,67 +291,33 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     train = _read_curves(args.curves)
     y = _read_responses(args.responses)
-    spec_m = _semimetric_from_args(args)
     v_order = args.order if args.v_order is None else args.v_order
     spec_v = _semimetric_from_args(args, order=v_order)
-
-    if spec_m.kind == "pca_projection":
-        spec_m = train_projection(spec_m, train)
-        spec_v = spec_m
-    feats = feature_matrix(spec_m, train)
-    fw = feature_weights(spec_m, train.grid)
-    dist_m = pairwise_from_features(feats, feats, fw)
-
-    cv_m_table = None
-    if args.h_m is None:
-        grid = default_bandwidth_grid(dist_m, args.grid_size)
-        cv_m = cv_bandwidth(train, y, spec_m, args.kernel, grid, dist=dist_m)
-        h_m, cv_m_table = cv_m.bandwidth, cv_m.to_table()
-    else:
-        h_m = args.h_m
-    mean_fit = fit_mean(train, y, spec_m, args.kernel, h_m, args.policy,
-                        dist=dist_m)
-
-    if spec_v == spec_m:
-        dist_v = dist_m
-    else:
-        fv = feature_matrix(spec_v, train)
-        dist_v = pairwise_from_features(fv, fv, feature_weights(spec_v, train.grid))
-    if args.method == "residual":
-        pseudo, fb_pseudo = squared_residuals(mean_fit, args.self_inclusion)
-        pseudo_fallbacks = int(fb_pseudo.sum())
-    else:
-        pseudo = y**2
-        pseudo_fallbacks = 0
-    cv_v_table = None
-    if args.h_v is None:
-        grid_v = default_bandwidth_grid(dist_v, args.grid_size)
-        cv_v = cv_bandwidth(train, pseudo, spec_v, args.kernel, grid_v, dist=dist_v)
-        h_v, cv_v_table = cv_v.bandwidth, cv_v.to_table()
-    else:
-        h_v = args.h_v
-    vfit = fit_variance(args.method, mean_fit, spec_v, bandwidth=h_v,
-                        self_inclusion=args.self_inclusion,
-                        pseudo_responses=pseudo, dist=dist_v)
+    fit = fit_pipeline(train, y, _semimetric_from_args(args), args.kernel,
+                       [(args.method, spec_v, args.h_v)], h_m=args.h_m,
+                       grid_size=args.grid_size, policy=args.policy,
+                       self_inclusion=args.self_inclusion)
+    (vfit,), (cv_v,) = fit.variances, fit.cv_v
     _, fb_eval, clip_eval = predict_variance_insample(vfit)
 
     model = {
-        "curves_file": args.curves,
+        # absolute paths, so that predict finds the training files from any directory
+        "curves_file": os.path.abspath(args.curves),
         "curves_sha256": _sha256(args.curves),
-        "responses_file": args.responses,
+        "responses_file": os.path.abspath(args.responses),
         "responses_sha256": _sha256(args.responses),
-        "semimetric": spec_m.to_config(),
-        "variance_semimetric": spec_v.to_config(),
+        "semimetric": fit.mean.spec.to_config(),
+        "variance_semimetric": vfit.spec.to_config(),
         "kernel": args.kernel,
         "policy": args.policy,
         "self_inclusion": args.self_inclusion,
         "variance_method": args.method,
-        "h_m": h_m,
-        "h_v": h_v,
-        "cv_m": cv_m_table,
-        "cv_v": cv_v_table,
+        "h_m": fit.mean.bandwidth,
+        "h_v": vfit.bandwidth,
+        "cv_m": None if fit.cv_m is None else fit.cv_m.to_table(),
+        "cv_v": None if cv_v is None else cv_v.to_table(),
         "counters": {
-            "pseudo_fallbacks": pseudo_fallbacks,
+            "pseudo_fallbacks": fit.pseudo_fallbacks,
             "insample_eval_fallbacks": int(fb_eval.sum()),
             "insample_clips": int(clip_eval.sum()),
         },
@@ -402,19 +361,12 @@ def _cmd_predict(args) -> int:
 
     spec_m = SemiMetricSpec.from_config(model["semimetric"])
     spec_v = SemiMetricSpec.from_config(model["variance_semimetric"])
-    mean_fit = fit_mean(train, y, spec_m, model["kernel"], model["h_m"],
-                        model["policy"])
-    if model["variance_method"] == "residual":
-        pseudo, _ = squared_residuals(mean_fit, model["self_inclusion"])
-    else:
-        pseudo = y**2
-    vfit = fit_variance(model["variance_method"], mean_fit, spec_v,
-                        bandwidth=model["h_v"],
-                        self_inclusion=model["self_inclusion"],
-                        pseudo_responses=pseudo)
-
-    m_hat, m_fb = predict_mean_set(mean_fit, xs)
-    v_hat, v_fb, v_clip = predict_variance_set(vfit, xs)
+    fit = fit_pipeline(train, y, spec_m, model["kernel"],
+                       [(model["variance_method"], spec_v, model["h_v"])],
+                       h_m=model["h_m"], policy=model["policy"],
+                       self_inclusion=model["self_inclusion"])
+    m_hat, m_fb = predict_mean_set(fit.mean, xs)
+    v_hat, v_fb, v_clip = predict_variance_set(fit.variances[0], xs, mean=(m_hat, m_fb))
     rows = [
         [i, _fmt(m), int(fm), _fmt(v), int(fv), int(c)]
         for i, (m, fm, v, fv, c) in enumerate(zip(m_hat, m_fb, v_hat, v_fb, v_clip))
@@ -491,21 +443,10 @@ def _cmd_smallball(args) -> int:
     cs = _read_curves(args.curves)
     if not 0 <= args.index < len(cs):
         raise ValueError(f"--index {args.index} out of range for {len(cs)} curves")
-    spec = _semimetric_from_args(args)
-    if spec.kind == "pca_projection":
-        spec = train_projection(spec, cs)
-    x = cs.curve(args.index)
-    feats = feature_matrix(spec, cs)
-    fw = feature_weights(spec, cs.grid)
-    d = pairwise_from_features(feats[args.index : args.index + 1], feats, fw)[0]
-    pos = d[d > 0]
-    if pos.size == 0:
-        raise ValueError("all curves coincide with the center; no distance scale")
-    if args.size < 1:
-        raise ValueError("--size must be positive")
-    qs = np.array([1.0]) if args.size == 1 else np.linspace(0.05, 1.0, args.size)
-    hs = np.unique(np.quantile(pos, qs, method="inverted_cdf"))
-    fractions = [small_ball_fraction(spec, cs, x, float(h)) for h in hs]
+    metric = TrainedMetric(_semimetric_from_args(args), cs)
+    d = metric.rows([args.index])[0]
+    hs = quantile_grid(d, args.size)
+    fractions = [float(np.mean(d <= h)) for h in hs]
     out_name = args.out or ("smallball.json" if args.format == "json" else "smallball.csv")
     out = _out_path(args, out_name)
     if args.format == "json":

@@ -50,6 +50,10 @@ class Grid:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Grid) and np.array_equal(self.points, other.points)
 
+    def __hash__(self) -> int:
+        # adding 0.0 maps -0.0 to 0.0, so grids that compare equal hash equal
+        return hash((self.points + 0.0).tobytes())
+
 
 def uniform_grid(size: int, lo: float = -1.0, hi: float = 1.0) -> Grid:
     return Grid(np.linspace(lo, hi, size))
@@ -133,7 +137,8 @@ def _spline_derivative(
     """Least-squares spline fit on quantile knots; returns the analytic
     derivative of the fitted spline evaluated back on grid points.
 
-    ``values`` may be (T,) or (T, n); the derivative keeps that shape.
+    ``values`` is (T, n), one curve per column; the derivative keeps that
+    shape.
     """
     if degree <= order:
         raise ValueError(f"spline degree {degree} must exceed derivative order {order}")
@@ -171,23 +176,10 @@ def derivative(
     derivative; requires degree > order and knots + degree + 1 <= T.
     Order 0 returns the curve unchanged.
     """
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if order == 0:
-        return c
-    if method == "finite_diff":
-        if c.grid.size < order + 1:
-            raise ValueError(
-                f"grid of {c.grid.size} points too short for order-{order} differences"
-            )
-        vals = c.values
-        for _ in range(order):
-            vals = np.gradient(vals, c.grid.points, edge_order=1)
-        return Curve(c.grid, vals)
-    if method == "bspline":
-        vals = _spline_derivative(c.grid, c.values, order, knots, degree)
-        return Curve(c.grid, vals)
-    raise ValueError(f"unknown derivative method {method!r}")
+    out = derivative_set(
+        CurveSet.from_curves([c]), order, method, knots=knots, degree=degree
+    )
+    return c if order == 0 else out.curve(0)
 
 
 def derivative_set(

@@ -10,17 +10,12 @@ cross-validation over a quantile-based candidate grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .curves import Curve, CurveSet
-from .kernels import (
-    POLICY_FALLBACK,
-    nw_estimate,
-    nw_weights,
-    weight_matrix,
-)
+from .kernels import POLICY_FALLBACK, weight_matrix
 from .semimetric import (
     SemiMetricSpec,
     feature_matrix,
@@ -43,58 +38,116 @@ class Prediction(NamedTuple):
     clipped: bool = False
 
 
+class TrainedMetric:
+    """Training curves under one trained semi-metric.
+
+    An untrained projection spec is trained on ``train``. The features, the
+    self-distance matrix and each default bandwidth grid are computed once,
+    on first use; ``dist`` may supply the self-distance matrix instead.
+    """
+
+    # plain lazy attributes rather than functools.cached_property, whose
+    # lock (Python < 3.12) is shared by all instances and would serialize
+    # replications running in threads
+    def __init__(self, spec: SemiMetricSpec, train: CurveSet, dist=None):
+        self.spec = spec if spec.trained else train_projection(spec, train)
+        self.train = train
+        self.weights = feature_weights(self.spec, train.grid)
+        self._features = None
+        self._dist = dist
+        self._grids: dict[int, np.ndarray] = {}
+
+    @property
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            self._features = feature_matrix(self.spec, self.train)
+        return self._features
+
+    @property
+    def dist(self) -> np.ndarray:
+        """Distances between every pair of training curves."""
+        if self._dist is None:
+            f = self.features
+            self._dist = pairwise_from_features(f, f, self.weights)
+        return self._dist
+
+    def grid(self, size: int) -> np.ndarray:
+        """:func:`default_bandwidth_grid` of the self-distances."""
+        if size not in self._grids:
+            self._grids[size] = default_bandwidth_grid(self.dist, size)
+        return self._grids[size]
+
+    def rows(self, idx) -> np.ndarray:
+        """Distances from the training curves ``idx`` (rows) to each training
+        curve; a curve's distance to itself is exactly zero."""
+        return pairwise_from_features(self.features[idx], self.features, self.weights)
+
+    def cross(self, xs: CurveSet) -> np.ndarray:
+        """Distances from each curve of ``xs`` (rows) to each training curve."""
+        if xs.grid != self.train.grid:
+            raise ValueError("prediction curves are not on the training grid")
+        fx = feature_matrix(self.spec, xs)
+        return pairwise_from_features(fx, self.features, self.weights)
+
+    def for_spec(self, spec: SemiMetricSpec) -> TrainedMetric:
+        """The metric of ``spec`` on the same training curves: this one when
+        the trained basis is the same, a new one otherwise.
+
+        Spec equality ignores a projection's basis, so the basis is
+        compared as well.
+        """
+        if not spec.trained:
+            spec = train_projection(spec, self.train)
+        if spec == self.spec and (
+            spec.basis is None or np.array_equal(spec.basis, self.spec.basis)
+        ):
+            return self
+        return TrainedMetric(spec, self.train)
+
+
+def _smooth(
+    fit, dist: np.ndarray, values: np.ndarray, exclude_diag: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel smooth of ``values`` at the points whose distances to the
+    training curves are the rows of ``dist``: (estimates, fallback mask)."""
+    w, fb = weight_matrix(dist, fit.bandwidth, fit.kernel, fit.policy, exclude_diag)
+    return w @ values, fb
+
+
 @dataclass(frozen=True)
 class MeanFit:
     """Frozen state of a fitted mean function."""
 
-    train: CurveSet
+    metric: TrainedMetric = field(repr=False)
     y: np.ndarray
-    spec: SemiMetricSpec
     kernel: str
     bandwidth: float
     policy: str
-    dist: np.ndarray = field(repr=False)       # cached self-distance matrix
-    features: np.ndarray = field(repr=False)   # training feature vectors
-    feat_weights: np.ndarray = field(repr=False)
 
     @property
-    def n(self) -> int:
-        return len(self.train)
+    def train(self) -> CurveSet:
+        return self.metric.train
 
-
-def _resolve_spec(spec: SemiMetricSpec, train: CurveSet) -> SemiMetricSpec:
-    if not spec.trained:
-        spec = train_projection(spec, train)
-    return spec
-
-
-def _point_distances(fit, x: Curve) -> np.ndarray:
-    if x.grid != fit.train.grid:
-        raise ValueError("prediction curve is not on the training grid")
-    fx = feature_matrix(fit.spec, CurveSet(x.grid, x.values[None, :]))
-    return pairwise_from_features(fx, fit.features, fit.feat_weights)[0]
-
-
-def _set_distances(fit, xs: CurveSet) -> np.ndarray:
-    if xs.grid != fit.train.grid:
-        raise ValueError("prediction curves are not on the training grid")
-    fx = feature_matrix(fit.spec, xs)
-    return pairwise_from_features(fx, fit.features, fit.feat_weights)
+    @property
+    def spec(self) -> SemiMetricSpec:
+        return self.metric.spec
 
 
 def fit_mean(
     train: CurveSet,
     y,
-    spec: SemiMetricSpec,
+    spec: SemiMetricSpec | TrainedMetric,
     kernel: str = "quadratic",
     bandwidth: float = 1.0,
     policy: str = POLICY_FALLBACK,
     dist: np.ndarray | None = None,
 ) -> MeanFit:
-    """Freeze a Nadaraya-Watson mean fit, caching the self-distance matrix.
+    """Freeze a Nadaraya-Watson mean fit.
 
-    ``dist`` may pass in a precomputed self-distance matrix under ``spec``
-    to skip recomputation (e.g. shared with bandwidth selection).
+    ``spec`` may be a :class:`TrainedMetric` on ``train``, whose cached
+    features and distances the fit then shares; or ``dist`` may pass in a
+    precomputed self-distance matrix under ``spec`` (e.g. shared with
+    bandwidth selection).
     """
     y = np.asarray(y, dtype=float)
     n = len(train)
@@ -106,26 +159,20 @@ def fit_mean(
         raise ValueError("responses must be finite")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    spec = _resolve_spec(spec, train)
-    feats = feature_matrix(spec, train)
-    fw = feature_weights(spec, train.grid)
-    if dist is None:
-        dist = pairwise_from_features(feats, feats, fw)
-    return MeanFit(train, y, spec, kernel, float(bandwidth), policy, dist, feats, fw)
+    if not isinstance(spec, TrainedMetric):
+        spec = TrainedMetric(spec, train, dist)
+    return MeanFit(spec, y, kernel, float(bandwidth), policy)
 
 
 def predict_mean(fit: MeanFit, x: Curve) -> Prediction:
     """Kernel-weighted mean of the training responses at x."""
-    d = _point_distances(fit, x)
-    w, fb = nw_weights(d, fit.bandwidth, fit.kernel, fit.policy)
-    return Prediction(nw_estimate(w, fit.y), fb)
+    m, fb = predict_mean_set(fit, CurveSet.from_curves([x]))
+    return Prediction(float(m[0]), bool(fb[0]))
 
 
 def predict_mean_set(fit: MeanFit, xs: CurveSet) -> tuple[np.ndarray, np.ndarray]:
     """Batched mean predictions; returns (values, fallback mask)."""
-    d = _set_distances(fit, xs)
-    w, fb = weight_matrix(d, fit.bandwidth, fit.kernel, fit.policy)
-    return w @ fit.y, fb
+    return _smooth(fit, fit.metric.cross(xs), fit.y)
 
 
 def smoother_matrix(fit: MeanFit) -> np.ndarray:
@@ -134,7 +181,7 @@ def smoother_matrix(fit: MeanFit) -> np.ndarray:
     Each row includes the point's own observation (the self distance is
     zero, so it gets the largest kernel weight); rows sum to one.
     """
-    w, _ = weight_matrix(fit.dist, fit.bandwidth, fit.kernel, fit.policy)
+    w, _ = weight_matrix(fit.metric.dist, fit.bandwidth, fit.kernel, fit.policy)
     return w
 
 
@@ -149,14 +196,8 @@ def squared_residuals(
     """
     if self_inclusion not in SELF_INCLUSION_MODES:
         raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
-    w, fb = weight_matrix(
-        fit.dist,
-        fit.bandwidth,
-        fit.kernel,
-        fit.policy,
-        exclude_diag=self_inclusion == "leave_one_out",
-    )
-    fitted = w @ fit.y
+    loo = self_inclusion == "leave_one_out"
+    fitted, fb = _smooth(fit, fit.metric.dist, fit.y, exclude_diag=loo)
     return (fit.y - fitted) ** 2, fb
 
 
@@ -170,26 +211,27 @@ class VarianceFit:
 
     method: str
     mean_fit: MeanFit
-    spec: SemiMetricSpec
+    metric: TrainedMetric = field(repr=False)
     kernel: str
     bandwidth: float
     policy: str
     self_inclusion: str
     pseudo: np.ndarray = field(repr=False)
     residual_fallbacks: int
-    dist: np.ndarray = field(repr=False)
-    features: np.ndarray = field(repr=False)
-    feat_weights: np.ndarray = field(repr=False)
 
     @property
     def train(self) -> CurveSet:
         return self.mean_fit.train
 
+    @property
+    def spec(self) -> SemiMetricSpec:
+        return self.metric.spec
+
 
 def fit_variance(
     method: str,
     mean_fit: MeanFit,
-    spec: SemiMetricSpec,
+    spec: SemiMetricSpec | TrainedMetric,
     kernel: str | None = None,
     bandwidth: float = 1.0,
     self_inclusion: str = "include_self",
@@ -202,7 +244,10 @@ def fit_variance(
     Pseudo-responses default to squared residuals of ``mean_fit``
     (residual method) or squared responses (direct method);
     ``pseudo_responses`` overrides them, e.g. with squared errors around a
-    known mean function.
+    known mean function. The fit shares the mean fit's distances when
+    ``spec`` has the same trained basis; ``spec`` may also be a
+    :class:`TrainedMetric` on the training curves, and ``dist`` a
+    precomputed self-distance matrix under ``spec``.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown variance method {method!r}")
@@ -210,7 +255,6 @@ def fit_variance(
         raise ValueError("bandwidth must be positive")
     kernel = mean_fit.kernel if kernel is None else kernel
     policy = mean_fit.policy if policy is None else policy
-    train = mean_fit.train
     residual_fallbacks = 0
     if pseudo_responses is not None:
         pseudo = np.asarray(pseudo_responses, dtype=float)
@@ -223,28 +267,31 @@ def fit_variance(
         pseudo = mean_fit.y**2
     if method == "residual" and np.any(pseudo < 0):
         raise ValueError("residual pseudo-responses must be nonnegative")
-    spec = _resolve_spec(spec, train)
-    feats = feature_matrix(spec, train)
-    fw = feature_weights(spec, train.grid)
-    if dist is None:
-        if spec == mean_fit.spec:
-            dist = mean_fit.dist
-        else:
-            dist = pairwise_from_features(feats, feats, fw)
-    return VarianceFit(
-        method,
-        mean_fit,
-        spec,
-        kernel,
-        float(bandwidth),
-        policy,
-        self_inclusion,
-        pseudo,
-        residual_fallbacks,
-        dist,
-        feats,
-        fw,
-    )
+    if isinstance(spec, TrainedMetric):
+        metric = spec
+    elif dist is None:
+        metric = mean_fit.metric.for_spec(spec)
+    else:
+        metric = TrainedMetric(spec, mean_fit.train, dist)
+    return VarianceFit(method, mean_fit, metric, kernel, float(bandwidth), policy,
+                       self_inclusion, pseudo, residual_fallbacks)
+
+
+def _variance_at(
+    fit: VarianceFit, dist: np.ndarray, mean: Callable[[], tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variance predictions at the points whose distances to the training
+    curves, under the variance metric, are the rows of ``dist``.
+
+    ``mean()`` returns the mean predictions (values, fallback mask) at the
+    same points; only the direct method calls it.
+    """
+    smooth, fb = _smooth(fit, dist, fit.pseudo)
+    if fit.method == "residual":
+        return smooth, fb, np.zeros(len(smooth), dtype=bool)
+    m, fb_m = mean()
+    raw = smooth - m * m
+    return np.maximum(raw, 0.0), fb | fb_m, raw < 0.0
 
 
 def predict_variance(fit: VarianceFit, x: Curve) -> Prediction:
@@ -253,43 +300,31 @@ def predict_variance(fit: VarianceFit, x: Curve) -> Prediction:
     The direct method clips negative values of the smoothed squared
     responses minus the squared mean estimate at zero and flags the clip.
     """
-    d = _point_distances(fit, x)
-    w, fb = nw_weights(d, fit.bandwidth, fit.kernel, fit.policy)
-    smooth = nw_estimate(w, fit.pseudo)
-    if fit.method == "residual":
-        return Prediction(smooth, fb)
-    mp = predict_mean(fit.mean_fit, x)
-    raw = smooth - mp.value * mp.value
-    return Prediction(max(0.0, raw), fb or mp.fallback, raw < 0.0)
+    v, fb, clip = predict_variance_set(fit, CurveSet.from_curves([x]))
+    return Prediction(float(v[0]), bool(fb[0]), bool(clip[0]))
 
 
 def predict_variance_set(
-    fit: VarianceFit, xs: CurveSet
+    fit: VarianceFit, xs: CurveSet, mean: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched variance predictions: (values, fallback mask, clip mask)."""
-    d = _set_distances(fit, xs)
-    w, fb = weight_matrix(d, fit.bandwidth, fit.kernel, fit.policy)
-    smooth = w @ fit.pseudo
-    if fit.method == "residual":
-        return smooth, fb, np.zeros(len(xs), dtype=bool)
-    m, fb_m = predict_mean_set(fit.mean_fit, xs)
-    raw = smooth - m * m
-    clipped = raw < 0.0
-    return np.maximum(raw, 0.0), fb | fb_m, clipped
+    """Batched variance predictions: (values, fallback mask, clip mask).
+
+    ``mean`` may pass in the mean predictions (values, fallback mask) at
+    ``xs`` that the caller already has, so the direct method does not
+    compute them again.
+    """
+    def mean_at_xs():
+        return predict_mean_set(fit.mean_fit, xs) if mean is None else mean
+
+    return _variance_at(fit, fit.metric.cross(xs), mean_at_xs)
 
 
 def predict_variance_insample(
     fit: VarianceFit,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variance estimates at the training curves, from cached distances."""
-    w, fb = weight_matrix(fit.dist, fit.bandwidth, fit.kernel, fit.policy)
-    smooth = w @ fit.pseudo
-    if fit.method == "residual":
-        return smooth, fb, np.zeros(fit.mean_fit.n, dtype=bool)
-    m = smoother_matrix(fit.mean_fit) @ fit.mean_fit.y
-    raw = smooth - m * m
-    clipped = raw < 0.0
-    return np.maximum(raw, 0.0), fb, clipped
+    mf = fit.mean_fit
+    return _variance_at(fit, fit.metric.dist, lambda: _smooth(mf, mf.metric.dist, mf.y))
 
 
 @dataclass(frozen=True)
@@ -341,10 +376,8 @@ def cv_bandwidth(
         raise ValueError("bandwidth candidates must be positive")
     if resp.shape != (len(train),):
         raise ValueError("responses must align with the training curves")
-    spec = _resolve_spec(spec, train)
     if dist is None:
-        feats = feature_matrix(spec, train)
-        dist = pairwise_from_features(feats, feats, feature_weights(spec, train.grid))
+        dist = TrainedMetric(spec, train).dist
     scores = np.empty(cand.size)
     fb_rates = np.empty(cand.size)
     for k, h in enumerate(cand):
@@ -365,18 +398,26 @@ def cv_bandwidth(
 def default_bandwidth_grid(dist: np.ndarray, size: int = 20) -> np.ndarray:
     """Candidate bandwidths at quantiles of the positive pairwise distances.
 
+    See :func:`quantile_grid`; the diagonal of the self-distance matrix is
+    left out.
+    """
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("expected a square self-distance matrix")
+    return quantile_grid(d[~np.eye(d.shape[0], dtype=bool)], size)
+
+
+def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
+    """Quantiles of the positive ``distances``.
+
     Quantile levels run evenly from 0.05 to 1.0 (just the maximum for
     ``size`` 1); duplicate candidates collapse, so the grid may be shorter
     than requested.
     """
     if size < 1:
         raise ValueError("grid size must be positive")
-    d = np.asarray(dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("expected a square self-distance matrix")
-    off = d[~np.eye(d.shape[0], dtype=bool)]
-    pos = off[off > 0]
+    pos = distances[distances > 0]
     if pos.size == 0:
-        raise ValueError("no positive off-diagonal distance to build a grid from")
+        raise ValueError("no positive distance to build a grid from")
     qs = np.array([1.0]) if size == 1 else np.linspace(0.05, 1.0, size)
     return np.unique(np.quantile(pos, qs, method="inverted_cdf"))

@@ -69,26 +69,13 @@ def nw_weights(
     :class:`EmptyNeighborhoodError`, or put weight 1 on the nearest point
     (smallest index on ties) and flag the fallback.
     """
-    if policy not in WEIGHT_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("distances must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite")
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
-    k = kernel_eval(kind, d / bandwidth)
-    total = float(np.sum(k))
-    if total > 0.0:
-        return NwWeights(k / total, False)
-    if policy == POLICY_ERROR:
-        raise EmptyNeighborhoodError(
-            f"no point within bandwidth {bandwidth} (min distance {d.min()})"
-        )
-    w = np.zeros_like(d)
-    w[int(np.argmin(d))] = 1.0
-    return NwWeights(w, True)
+    w, fb = weight_matrix(d[None, :], bandwidth, kind, policy)
+    return NwWeights(w[0], bool(fb[0]))
 
 
 def nw_estimate(weights, values) -> float:
@@ -113,6 +100,8 @@ def weight_matrix(
     before normalizing (leave-one-out smoothing). Returns the weight matrix
     and a boolean mask of rows where the nearest-neighbor fallback fired.
     """
+    if policy not in WEIGHT_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     k = kernel_eval(kind, dist / bandwidth)
@@ -129,8 +118,6 @@ def weight_matrix(
             raise EmptyNeighborhoodError(
                 f"{int(empty.sum())} rows have no point within bandwidth {bandwidth}"
             )
-        if policy != POLICY_FALLBACK:
-            raise ValueError(f"unknown policy {policy!r}")
         for i in np.flatnonzero(empty):
             k[i, int(np.argmin(d[i]))] = 1.0
         totals = k.sum(axis=1)

@@ -158,18 +158,11 @@ def pairwise_from_features(
     return np.sqrt(out, out=out)
 
 
-def _check_shared_grid(a: Grid, b: Grid) -> None:
-    if a != b:
-        raise ValueError("curves do not share a grid")
-
-
 def distance(spec: SemiMetricSpec, a: Curve, b: Curve) -> float:
     """Semi-metric distance between two curves on the same grid."""
-    _check_shared_grid(a.grid, b.grid)
-    fa = feature_matrix(spec, CurveSet(a.grid, a.values[None, :]))
-    fb = feature_matrix(spec, CurveSet(b.grid, b.values[None, :]))
-    w = feature_weights(spec, a.grid)
-    return float(pairwise_from_features(fa, fb, w)[0, 0])
+    one_a = CurveSet.from_curves([a])
+    one_b = CurveSet.from_curves([b])
+    return float(distance_matrix(spec, one_a, one_b)[0, 0])
 
 
 def distance_matrix(
@@ -182,7 +175,8 @@ def distance_matrix(
     """
     if b is None:
         b = a
-    _check_shared_grid(a.grid, b.grid)
+    if a.grid != b.grid:
+        raise ValueError("curves do not share a grid")
     fa = feature_matrix(spec, a)
     fb = fa if b is a else feature_matrix(spec, b)
     return pairwise_from_features(fa, fb, feature_weights(spec, a.grid))
@@ -198,8 +192,5 @@ def small_ball_fraction(
     """
     if not h > 0:
         raise ValueError("radius h must be positive")
-    _check_shared_grid(x.grid, train.grid)
-    fx = feature_matrix(spec, CurveSet(x.grid, x.values[None, :]))
-    ft = feature_matrix(spec, train)
-    d = pairwise_from_features(fx, ft, feature_weights(spec, train.grid))[0]
+    d = distance_matrix(spec, CurveSet.from_curves([x]), train)[0]
     return float(np.mean(d <= h))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, CurveSet, Grid, integrate, uniform_grid
+from .curves import Curve, CurveSet, Grid, uniform_grid
 
 DESIGNS = ("ex1", "ex2", "ex3")
 
@@ -127,26 +127,15 @@ def true_functionals(
     design: str, x: Curve, deriv: Curve | None = None
 ) -> tuple[float, float]:
     """True (m, v) at a single curve; ex3 needs the derivative curve."""
-    t = x.grid.points
-    if design == "ex1":
-        return 0.0, integrate(Curve(x.grid, np.abs(np.cos(x.values))))
-    if design == "ex2":
-        m = integrate(Curve(x.grid, t * x.values))
-        v = integrate(Curve(x.grid, np.abs(t) * x.values**2))
-        return m, v
-    if design == "ex3":
-        if deriv is None:
-            raise ValueError("ex3 needs the derivative curve")
-        ad = np.abs(deriv.values)
-        m = integrate(Curve(x.grid, ad * (1.0 - np.cos(np.pi * t))))
-        v = integrate(Curve(x.grid, ad * (1.0 + np.cos(np.pi * t))))
-        return m, v
-    raise ValueError(f"unknown design {design!r}")
+    one = None if deriv is None else CurveSet.from_curves([deriv])
+    m, v = _batch_functionals(design, CurveSet.from_curves([x]), one)
+    return float(m[0]), float(v[0])
 
 
 def _batch_functionals(
     design: str, curves: CurveSet, derivs: CurveSet | None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """True (m, v) at every curve of a set; ex3 needs the derivative curves."""
     t = curves.grid.points
     qw = curves.grid.trapezoid_weights
     vals = curves.values
@@ -154,6 +143,10 @@ def _batch_functionals(
         return np.zeros(len(curves)), np.abs(np.cos(vals)) @ qw
     if design == "ex2":
         return (vals * t) @ qw, (np.abs(t) * vals**2) @ qw
+    if design != "ex3":
+        raise ValueError(f"unknown design {design!r}")
+    if derivs is None:
+        raise ValueError("ex3 needs the derivative curves")
     ad = np.abs(derivs.values)
     return (ad * (1.0 - np.cos(np.pi * t))) @ qw, (ad * (1.0 + np.cos(np.pi * t))) @ qw
 

@@ -30,7 +30,7 @@ from funvar.estimators import (
     squared_residuals,
 )
 from funvar.kernels import POLICY_FALLBACK
-from funvar.semimetric import distance_matrix
+from funvar.semimetric import SemiMetricSpec, distance_matrix
 from funvar.simulate import SimSpec, dataset_from_parts, gen_dataset
 
 
@@ -126,6 +126,33 @@ def test_replication_matches_manually_scripted_pipeline():
     d_hat, _, _ = predict_variance_insample(vdir)
     assert rec.h_v["direct"] == cv_d.bandwidth
     assert rec.mse["direct"] == discrete_mse(d_hat, ds.v_true)
+
+
+def test_replication_runs_with_a_pca_spec():
+    cfg = ExperimentConfig("ex2", n=60, spec=SemiMetricSpec.pca_projection(2))
+    rec = run_replication(cfg, 0)
+    assert not rec.failed, rec.error
+    assert set(rec.mse) == {"residual", "direct"}
+    assert cfg.to_dict()["semimetric"] == {"kind": "pca_projection", "dim": 2}
+
+
+def test_pipeline_stages_share_distances_only_under_the_same_metric():
+    ds = gen_dataset(SimSpec("ex2", 30, 4))
+    spec = design_default_spec("ex2")
+    fit = bench.fit_pipeline(
+        ds.curves, ds.y, spec,
+        stages=[("residual", spec, None),
+                ("direct", SemiMetricSpec.deriv_l2(order=1), 2.0)],
+        grid_size=8,
+    )
+    res, direct = fit.variances
+    assert res.metric is fit.mean.metric
+    assert direct.metric is not fit.mean.metric
+    assert np.array_equal(direct.metric.dist,
+                          distance_matrix(SemiMetricSpec.deriv_l2(order=1), ds.curves))
+    assert fit.cv_m.bandwidth == fit.mean.bandwidth
+    assert fit.cv_v[0].bandwidth == res.bandwidth
+    assert fit.cv_v[1] is None and direct.bandwidth == 2.0
 
 
 def test_methods_share_the_mean_bandwidth():

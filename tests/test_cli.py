@@ -149,6 +149,27 @@ def test_fit_with_explicit_bandwidths_skips_cv(tmp_path):
     assert model["counters"]["pseudo_fallbacks"] == 0
 
 
+def test_predict_from_another_directory(tmp_path, monkeypatch):
+    fit_dir = tmp_path / "a"
+    fit_dir.mkdir()
+    monkeypatch.chdir(fit_dir)
+    assert run("--seed", 2, "simulate", "--example", "ex1", "--n", 16,
+               "--grid-size", 31) == 0
+    assert run("fit", "--curves", "ex1_curves.csv", "--responses",
+               "ex1_responses.csv", "--grid-size", 8) == 0
+    other = tmp_path / "b"
+    other.mkdir()
+    monkeypatch.chdir(other)
+    assert run("predict", "--model", "../a/model.json",
+               "--curves", "../a/ex1_curves.csv") == 0
+    assert len(read_rows(other / "predictions.csv")) == 16
+
+
+def test_v_order_with_pca_is_a_usage_error():
+    assert run("fit", "--curves", "c.csv", "--responses", "r.csv",
+               "--semimetric", "pca_projection", "--v-order", 1) == 2
+
+
 def test_predict_rejects_tampered_training_data(tmp_path):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=10, seed=9)
     assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,

@@ -54,6 +54,16 @@ def test_integrate_polynomial():
     assert integrate(c) == pytest.approx(2.0 / 3.0, abs=2e-4)
 
 
+def test_equal_grids_hash_equal_and_work_as_dict_keys():
+    a = Grid(np.array([-1.0, -0.0, 1.0]))
+    b = Grid(np.array([-1.0, 0.0, 1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert hash(uniform_grid(11)) == hash(uniform_grid(11))
+    table = {a: "a"}
+    assert table[b] == "a"
+    assert uniform_grid(11) not in table
+
+
 def test_curve_validation():
     g = uniform_grid(5)
     with pytest.raises(ValueError):

@@ -19,8 +19,8 @@ from funvar.estimators import (
     smoother_matrix,
     squared_residuals,
 )
-from funvar.kernels import POLICY_ERROR, EmptyNeighborhoodError
-from funvar.semimetric import SemiMetricSpec, distance_matrix
+from funvar.kernels import POLICY_ERROR, EmptyNeighborhoodError, weight_matrix
+from funvar.semimetric import SemiMetricSpec, distance_matrix, train_projection
 
 import oracles
 
@@ -440,3 +440,32 @@ def test_default_grid_rejects_degenerate_matrices():
         default_bandwidth_grid(np.zeros((2, 3)), 5)
     with pytest.raises(ValueError):
         default_bandwidth_grid(np.ones((3, 3)), 0)
+
+
+# ------------------------------------------------------- shared distances
+
+
+def test_variance_fit_keeps_its_own_pca_basis():
+    # two PCA specs compare equal whatever their bases, so the variance fit
+    # must not borrow the mean fit's distances
+    cs, y = random_instance(12, 50)
+    other, _ = random_instance(12, 51)
+    spec_m = train_projection(SemiMetricSpec.pca_projection(dim=2), cs)
+    spec_v = train_projection(SemiMetricSpec.pca_projection(dim=2), other)
+    fit = fit_mean(cs, y, spec_m, bandwidth=2.0)
+    vfit = fit_variance("residual", fit, spec_v, bandwidth=2.0)
+    d_v = distance_matrix(spec_v, cs)
+    assert not np.array_equal(d_v, distance_matrix(spec_m, cs))
+    w, _ = weight_matrix(d_v, 2.0)
+    v_hat, _, _ = predict_variance_insample(vfit)
+    assert np.array_equal(v_hat, w @ vfit.pseudo)
+    assert np.array_equal(vfit.metric.dist, d_v)
+
+
+def test_variance_fit_shares_the_mean_metric_for_the_same_basis():
+    cs, y = random_instance(10, 52)
+    fit = fit_mean(cs, y, SemiMetricSpec.pca_projection(dim=2), bandwidth=2.0)
+    # an untrained spec trains to the same basis on the same curves
+    for spec in (fit.spec, SemiMetricSpec.pca_projection(dim=2)):
+        assert fit_variance("residual", fit, spec).metric is fit.metric
+    assert fit_variance("residual", fit, SPEC0).metric is not fit.metric
