@@ -13,6 +13,7 @@ byte-identical at any thread count.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -291,21 +292,29 @@ def run_replication(
                              fallbacks=fallbacks, clips=clips)
 
 
+def worker_count(threads: int, n_reps: int) -> int:
+    """Replication threads to start: ``threads``, capped by the number of
+    replications and of CPUs, since more would only wait."""
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    return min(threads, n_reps, os.cpu_count() or 1)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run all replications and aggregate per-method median MSE.
 
-    Aborts if more than 20% of replications fail. The report is identical
+    Aborts if more than 20% of replications fail. At most
+    :func:`worker_count` threads run replications. The report is identical
     at any ``threads`` value: replications are independent and aggregation
     happens in rep-index order.
     """
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    workers = worker_count(threads, cfg.n_reps)
     t0 = time.perf_counter()
     reps = range(cfg.n_reps)
-    if threads == 1:
+    if workers == 1:
         records = [run_replication(cfg, r) for r in reps]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda r: run_replication(cfg, r), reps))
     records.sort(key=lambda rec: rec.rep)
     n_failed = sum(rec.failed for rec in records)
@@ -445,7 +454,9 @@ class ChemoReport:
         }
 
 
-def chemo_workflow(cfg: ChemoConfig) -> ChemoReport:
+def chemo_workflow(
+    cfg: ChemoConfig, curves: CurveSet | None = None, y=None
+) -> ChemoReport:
     """Fit on the leading curves, choose the variance semi-metric order on
     the held-out rest.
 
@@ -453,10 +464,13 @@ def chemo_workflow(cfg: ChemoConfig) -> ChemoReport:
     (R_hat_i - v_hat(X_i))^2 over held-out curves, where R_hat_i is the
     squared validation residual around the fitted mean. Bandwidths are
     cross-validated on training data only. Ties in the order selection go
-    to the first candidate listed.
+    to the first candidate listed. ``curves`` and ``y`` may pass in the
+    contents of the config's files when the caller has already read them.
     """
-    curves = read_curves_csv(cfg.curves_file)
-    y = read_responses_csv(cfg.responses_file)
+    if curves is None:
+        curves = read_curves_csv(cfg.curves_file)
+    if y is None:
+        y = read_responses_csv(cfg.responses_file)
     n = len(curves)
     if y.shape != (n,):
         raise ValueError(f"{y.shape[0]} responses for {n} curves")
@@ -471,7 +485,8 @@ def chemo_workflow(cfg: ChemoConfig) -> ChemoReport:
     stages = [("residual", cfg.semimetric(o), None) for o in cfg.candidate_orders]
     fit = fit_pipeline(train, y_train, cfg.semimetric(cfg.mean_order), cfg.kernel,
                        stages, grid_size=cfg.grid_size)
-    m_val, fb_mean = predict_mean_set(fit.mean, val)
+    d_val = fit.mean.metric.cross(val)
+    m_val, fb_mean = predict_mean_set(fit.mean, val, d_val)
     if fb_mean.all():
         raise RuntimeError(
             "every validation mean prediction fell back to a nearest neighbor; "
@@ -484,7 +499,8 @@ def chemo_workflow(cfg: ChemoConfig) -> ChemoReport:
     var_fallbacks: dict = {}
     v_by_order: dict = {}
     for order, vfit in zip(cfg.candidate_orders, fit.variances):
-        v_hat, fb_v, _ = predict_variance_set(vfit, val)
+        shared = vfit.metric is fit.mean.metric
+        v_hat, fb_v, _ = predict_variance_set(vfit, val, dist=d_val if shared else None)
         h_v[order] = vfit.bandwidth
         val_mse[order] = discrete_mse(v_hat, r_val)
         var_fallbacks[order] = int(fb_v.sum())

@@ -133,11 +133,11 @@ def _out_path(args, name: str) -> str:
 
 
 def _semimetric_from_args(args, order: int | None = None) -> SemiMetricSpec:
-    order = args.order if order is None else order
     if args.semimetric == "pca_projection":
         return SemiMetricSpec.pca_projection(dim=args.dim)
+    order = args.order if order is None else order
     return SemiMetricSpec.deriv_l2(
-        order=order,
+        order=order or 0,
         deriv_method=args.deriv_method,
         knots=args.knots,
         degree=args.degree,
@@ -146,8 +146,8 @@ def _semimetric_from_args(args, order: int | None = None) -> SemiMetricSpec:
 
 def _add_semimetric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--semimetric", choices=SEMIMETRIC_KINDS, default="deriv_l2")
-    p.add_argument("--order", type=int, default=0,
-                   help="derivative order for the deriv_l2 semi-metric")
+    p.add_argument("--order", type=int, default=None,
+                   help="derivative order for the deriv_l2 semi-metric (default 0)")
     p.add_argument("--deriv-method", choices=("finite_diff", "bspline"),
                    default="finite_diff")
     p.add_argument("--knots", type=int, default=20)
@@ -250,9 +250,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command in ("simulate", "bench") and args.seed is None:
         parser.error(f"--seed is required for {args.command}")
-    if (args.command == "fit" and args.semimetric == "pca_projection"
-            and args.v_order is not None):
-        parser.error("--v-order applies to the deriv_l2 semi-metric only")
+    if args.command in ("fit", "smallball") and args.semimetric == "pca_projection":
+        for flag in ("order", "v_order"):
+            if getattr(args, flag, None) is not None:
+                parser.error(f"--{flag.replace('_', '-')} applies to the "
+                             "deriv_l2 semi-metric only")
     if args.threads is None:
         env = os.environ.get("FUNVAR_THREADS")
         if env is not None:
@@ -291,8 +293,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     train = _read_curves(args.curves)
     y = _read_responses(args.responses)
-    v_order = args.order if args.v_order is None else args.v_order
-    spec_v = _semimetric_from_args(args, order=v_order)
+    spec_v = _semimetric_from_args(args, order=args.v_order)
     fit = fit_pipeline(train, y, _semimetric_from_args(args), args.kernel,
                        [(args.method, spec_v, args.h_v)], h_m=args.h_m,
                        grid_size=args.grid_size, policy=args.policy,
@@ -365,8 +366,12 @@ def _cmd_predict(args) -> int:
                        [(model["variance_method"], spec_v, model["h_v"])],
                        h_m=model["h_m"], policy=model["policy"],
                        self_inclusion=model["self_inclusion"])
-    m_hat, m_fb = predict_mean_set(fit.mean, xs)
-    v_hat, v_fb, v_clip = predict_variance_set(fit.variances[0], xs, mean=(m_hat, m_fb))
+    vfit = fit.variances[0]
+    dist = fit.mean.metric.cross(xs)
+    m_hat, m_fb = predict_mean_set(fit.mean, xs, dist)
+    if vfit.metric is not fit.mean.metric:
+        dist = None  # free the mean's block before the variance builds its own
+    v_hat, v_fb, v_clip = predict_variance_set(vfit, xs, mean=(m_hat, m_fb), dist=dist)
     rows = [
         [i, _fmt(m), int(fm), _fmt(v), int(fv), int(c)]
         for i, (m, fm, v, fv, c) in enumerate(zip(m_hat, m_fb, v_hat, v_fb, v_clip))
@@ -409,8 +414,8 @@ def _cmd_chemo(args) -> int:
     orders = tuple(int(o) for o in args.orders.split(",") if o != "")
     # classify unreadable/unparsable inputs as I/O failures up front; any
     # ValueError out of the workflow itself is then a computation error
-    _read_curves(args.curves)
-    _read_responses(args.responses)
+    curves = _read_curves(args.curves)
+    y = _read_responses(args.responses)
     cfg = ChemoConfig(
         curves_file=args.curves,
         responses_file=args.responses,
@@ -423,7 +428,7 @@ def _cmd_chemo(args) -> int:
         kernel=args.kernel,
         grid_size=args.grid_size,
     )
-    report = chemo_workflow(cfg)
+    report = chemo_workflow(cfg, curves, y)
     out_json = _out_path(args, args.report_out)
     _write_text(out_json, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     out_csv = _out_path(args, args.pairs_out)

@@ -230,14 +230,17 @@ def write_curves_csv(path: str | Path, cs: CurveSet) -> None:
 
 
 def read_curves_csv(path: str | Path) -> CurveSet:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or not rows[0] or rows[0][0] != "t":
+    with open(path) as f:
+        header = next(csv.reader([f.readline()]), [])
+        body = f.readlines()
+    if not header or header[0] != "t":
         raise ValueError(f"{path}: first row must be the grid, starting with 't'")
-    grid = Grid(np.array([float(v) for v in rows[0][1:]]))
-    if len(rows) < 2:
+    grid = Grid(np.array([float(v) for v in header[1:]]))
+    if not any(line.strip() for line in body):
         raise ValueError(f"{path}: no curve rows")
-    values = np.array([[float(v) for v in row] for row in rows[1:] if row])
+    # parsed straight into one array: a Python string and float per sample
+    # would take several times its memory and fragment the heap
+    values = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
     return CurveSet(grid, values)
 
 

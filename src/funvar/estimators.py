@@ -170,9 +170,17 @@ def predict_mean(fit: MeanFit, x: Curve) -> Prediction:
     return Prediction(float(m[0]), bool(fb[0]))
 
 
-def predict_mean_set(fit: MeanFit, xs: CurveSet) -> tuple[np.ndarray, np.ndarray]:
-    """Batched mean predictions; returns (values, fallback mask)."""
-    return _smooth(fit, fit.metric.cross(xs), fit.y)
+def predict_mean_set(
+    fit: MeanFit, xs: CurveSet, dist: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched mean predictions; returns (values, fallback mask).
+
+    ``dist`` may pass in the distances from ``xs`` to the training curves
+    under the fit's metric, e.g. shared with a variance fit on that metric.
+    """
+    if dist is None:
+        dist = fit.metric.cross(xs)
+    return _smooth(fit, dist, fit.y)
 
 
 def smoother_matrix(fit: MeanFit) -> np.ndarray:
@@ -305,18 +313,28 @@ def predict_variance(fit: VarianceFit, x: Curve) -> Prediction:
 
 
 def predict_variance_set(
-    fit: VarianceFit, xs: CurveSet, mean: tuple | None = None
+    fit: VarianceFit,
+    xs: CurveSet,
+    mean: tuple | None = None,
+    dist: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched variance predictions: (values, fallback mask, clip mask).
 
     ``mean`` may pass in the mean predictions (values, fallback mask) at
     ``xs`` that the caller already has, so the direct method does not
-    compute them again.
+    compute them again; ``dist`` the distances from ``xs`` to the training
+    curves under the variance metric.
     """
-    def mean_at_xs():
-        return predict_mean_set(fit.mean_fit, xs) if mean is None else mean
+    if dist is None:
+        dist = fit.metric.cross(xs)
+    shared = fit.metric is fit.mean_fit.metric
 
-    return _variance_at(fit, fit.metric.cross(xs), mean_at_xs)
+    def mean_at_xs():
+        if mean is not None:
+            return mean
+        return predict_mean_set(fit.mean_fit, xs, dist if shared else None)
+
+    return _variance_at(fit, dist, mean_at_xs)
 
 
 def predict_variance_insample(
@@ -376,23 +394,87 @@ def cv_bandwidth(
         raise ValueError("bandwidth candidates must be positive")
     if resp.shape != (len(train),):
         raise ValueError("responses must align with the training curves")
+    if kernel not in _KERNEL_POWER:
+        raise ValueError(f"unknown kernel {kernel!r}")
     if dist is None:
         dist = TrainedMetric(spec, train).dist
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (resp.size, resp.size):
+        raise ValueError("expected the self-distance matrix of the training curves")
+    by_h = np.argsort(cand, kind="stable")
     scores = np.empty(cand.size)
     fb_rates = np.empty(cand.size)
-    for k, h in enumerate(cand):
-        w, fb = weight_matrix(dist, h, kernel, POLICY_FALLBACK, exclude_diag=True)
-        errs = resp - w @ resp
-        scores[k] = float(errs @ errs)
-        fb_rates[k] = float(fb.mean())
+    scores[by_h], fb_rates[by_h] = _loo_sweep(dist, resp, kernel, cand[by_h])
     qualified = fb_rates <= fallback_threshold
     if not np.any(qualified):
         raise BandwidthSelectionError(
             "every bandwidth candidate exceeded the fallback threshold "
             f"{fallback_threshold:.0%}; the grid is too narrow for this sample"
         )
-    best = int(np.argmin(np.where(qualified, scores, np.inf)))
+    # the first minimum in increasing bandwidth order: the smallest wins ties
+    best = by_h[np.argmin(np.where(qualified, scores, np.inf)[by_h])]
     return CvResult(float(cand[best]), cand, scores, fb_rates, qualified)
+
+
+# p with K(u) = 1 - u**p on [0, 1]; 0 marks the uniform kernel, K = 1
+_KERNEL_POWER = {"quadratic": 2, "triangle": 1, "uniform": 0}
+
+
+def _loo_sweep(
+    dist: np.ndarray, resp: np.ndarray, kernel: str, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out sums of squared errors and fallback rates at every
+    bandwidth of the sorted ``hs``, in one pass over the rows of ``dist``.
+
+    Each pair (i, j != i) is binned by the first bandwidth it counts for:
+    d < h for the quadratic and triangle kernels, whose weight vanishes at
+    d = h, and d <= h for the uniform one. Per row, cumulative sums over
+    the bins of 1, y_j, d^p and d^p y_j give every bandwidth's kernel sums,
+    e.g. sum (1 - d^2/h^2) y_j = S_y - T_y / h^2. A row with no neighbor
+    predicts from its nearest other point (smallest index on ties), as
+    :func:`weight_matrix` does.
+    """
+    n = len(resp)
+    k = hs.size
+    p = _KERNEL_POWER[kernel]
+    side = "left" if p == 0 else "right"
+    sse = np.zeros(k)
+    n_fb = np.zeros(k)
+    block = max(1, (1 << 19) // n)
+    for lo in range(0, n, block):
+        d = dist[lo:lo + block]
+        b = len(d)
+        rows = np.arange(b)
+        bins = np.searchsorted(hs, d, side=side)
+        bins[rows, lo + rows] = k  # the last bin counts for no candidate
+        keys = (rows[:, None] * (k + 1) + bins).ravel()
+
+        def moment(weights=None):
+            m = np.bincount(keys, weights, minlength=b * (k + 1)).reshape(b, k + 1)
+            return np.cumsum(m[:, :k], axis=1)
+
+        yy = np.broadcast_to(resp, d.shape)
+        count = moment()
+        num = moment(yy.ravel())
+        den = count
+        if p:
+            dp = d**p
+            hp = hs**p
+            num = num - moment((dp * yy).ravel()) / hp
+            den = count - moment(dp.ravel()) / hp
+        empty = count == 0
+        pred = np.divide(num, den, out=np.zeros_like(num), where=~empty)
+        # rows empty at some candidate are empty at the smallest one
+        fb = np.flatnonzero(empty[:, 0])
+        if fb.size:
+            others = d[fb].copy()
+            others[np.arange(fb.size), lo + fb] = np.inf
+            nearest = resp[np.argmin(others, axis=1)]
+            pred[fb] = np.where(empty[fb], nearest[:, None], pred[fb])
+        err = resp[lo:lo + b, None] - pred
+        sse += np.einsum("ij,ij->j", err, err)
+        n_fb += empty.sum(axis=0)
+    return sse, n_fb / n
 
 
 def default_bandwidth_grid(dist: np.ndarray, size: int = 20) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .curves import Curve, CurveSet, Grid, derivative_set
 
@@ -142,20 +143,16 @@ def feature_weights(spec: SemiMetricSpec, grid: Grid) -> np.ndarray:
 def pairwise_from_features(
     fa: np.ndarray, fb: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """sqrt(sum_k w_k (fa_i - fb_j)^2) for every row pair, in blocks.
+    """sqrt(sum_k w_k (fa_i - fb_j)^2) for every row pair.
 
     Entries are computed directly from differences (no Gram expansion), so
-    a self distance matrix comes out exactly symmetric with a zero diagonal.
+    a curve's distance to an identical one is exactly zero; with ``fb is
+    fa`` each pair is computed once and the matrix comes out exactly
+    symmetric with a zero diagonal.
     """
-    n, p = fa.shape
-    m = fb.shape[0]
-    out = np.empty((n, m))
-    block = max(1, 4_000_000 // max(1, m * p))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        diff = fa[lo:hi, None, :] - fb[None, :, :]
-        out[lo:hi] = np.square(diff) @ w
-    return np.sqrt(out, out=out)
+    if fb is fa:
+        return squareform(pdist(fa, "euclidean", w=w))
+    return cdist(fa, fb, "euclidean", w=w)
 
 
 def distance(spec: SemiMetricSpec, a: Curve, b: Curve) -> float:

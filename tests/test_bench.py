@@ -350,3 +350,31 @@ def test_chemo_matches_manually_scripted_pipeline(tmp_path):
     assert data["chosen_order"] == report.chosen_order
     assert len(data["pairs"]) == n - n_train
     assert data["pairs"][0]["r_squared"] == r_val[0]
+
+
+def test_worker_count_is_capped_by_reps_and_cpus(monkeypatch):
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+    assert bench.worker_count(1, 100) == 1
+    assert bench.worker_count(3, 100) == 3
+    assert bench.worker_count(64, 100) == 4
+    assert bench.worker_count(64, 2) == 2
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+    assert bench.worker_count(8, 100) == 1
+    with pytest.raises(ValueError):
+        bench.worker_count(0, 5)
+
+
+def test_run_experiment_starts_the_capped_pool(monkeypatch):
+    started = []
+    real_pool = bench.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", recording_pool)
+    cfg = ExperimentConfig("ex1", n=12, n_reps=3, base_seed=4, grid_size=5)
+    report = run_experiment(cfg, threads=64)
+    assert started == [2]
+    assert serialize_report(report) == serialize_report(run_experiment(cfg))

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import funvar.bench as bench
+import funvar.cli as cli
+import funvar.estimators as estimators
 from funvar.cli import main, parse_args
 from funvar.curves import read_curves_csv, read_responses_csv
 from funvar.estimators import (
@@ -170,6 +173,31 @@ def test_v_order_with_pca_is_a_usage_error():
                "--semimetric", "pca_projection", "--v-order", 1) == 2
 
 
+@pytest.mark.parametrize("command", [["fit", "--responses", "r.csv"], ["smallball"]])
+@pytest.mark.parametrize("order", [0, 2])
+def test_order_with_pca_is_a_usage_error(command, order):
+    assert run(command[0], "--curves", "c.csv", *command[1:],
+               "--semimetric", "pca_projection", "--order", order) == 2
+
+
+def test_predict_computes_the_query_block_once(tmp_path, monkeypatch):
+    curves_f, resp_f = simulate_small(tmp_path, example="ex2", n=40, seed=5)
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f, "--method", "direct", "--grid-size", 6) == 0
+    blocks = []
+    real = estimators.pairwise_from_features
+
+    def counting(fa, fb, w):
+        blocks.append((len(fa), len(fb)))
+        return real(fa, fb, w)
+
+    monkeypatch.setattr(estimators, "pairwise_from_features", counting)
+    assert run("--output-dir", tmp_path, "predict", "--model",
+               tmp_path / "model.json", "--curves", curves_f) == 0
+    assert blocks == [(40, 40)]
+    assert len(read_rows(tmp_path / "predictions.csv")) == 40
+
+
 def test_predict_rejects_tampered_training_data(tmp_path):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=10, seed=9)
     assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
@@ -250,6 +278,37 @@ def test_chemo_cli_outputs(tmp_path):
     got = [float(r["v_hat"]) for r in pairs]
     expect = [p["v_hat"] for p in report["pairs"]]
     assert got == expect
+
+
+def test_chemo_reads_each_input_file_once(tmp_path, monkeypatch):
+    curves_f, resp_f = simulate_small(tmp_path, example="ex2", n=30, seed=21)
+    reads = []
+
+    def counting(real):
+        def read(path):
+            reads.append((real.__name__, str(path)))
+            return real(path)
+        return read
+
+    for module in (cli, bench):
+        monkeypatch.setattr(module, "read_curves_csv", counting(read_curves_csv))
+        monkeypatch.setattr(module, "read_responses_csv",
+                            counting(read_responses_csv))
+    assert run("--output-dir", tmp_path / "chemo", "chemo", "--curves", curves_f,
+               "--responses", resp_f, "--train-size", 20, "--mean-order", 0,
+               "--orders", "0,1", "--deriv-method", "finite_diff",
+               "--grid-size", 8) == 0
+    assert sorted(reads) == [("read_curves_csv", str(curves_f)),
+                             ("read_responses_csv", str(resp_f))]
+
+
+def test_chemo_unparsable_input_exits_3(tmp_path):
+    curves_f, resp_f = simulate_small(tmp_path, n=10, seed=22)
+    with open(resp_f, "a") as f:
+        f.write("not-a-number\n")
+    assert run("--output-dir", tmp_path, "chemo", "--curves", curves_f,
+               "--responses", resp_f, "--train-size", 5, "--mean-order", 0,
+               "--orders", "0", "--deriv-method", "finite_diff") == 3
 
 
 def test_chemo_train_size_too_large_exits_4(tmp_path):

@@ -178,6 +178,32 @@ def test_curves_csv_rejects_bad_header(tmp_path):
         read_curves_csv(path)
 
 
+def test_curves_csv_parses_like_python_float(tmp_path):
+    rng = np.random.default_rng(6)
+    formats = ["{!r}", "{:.17g}", "{:.3e}", "{:.25f}", "{:+.12g}", "{:.40g}"]
+    cells = [[formats[(i + j) % len(formats)].format(
+                  float(rng.standard_normal()) * 10.0 ** int(rng.integers(-200, 200)))
+              for j in range(4)] for i in range(30)]
+    cells[3][1] = '"0.1"'  # a quoted field
+    lines = ["t,0.0,0.25,0.5,1.0"] + [",".join(row) for row in cells]
+    lines.insert(5, "")  # a blank line
+    path = tmp_path / "c.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    got = read_curves_csv(path)
+    expect = [[float(v.strip('"')) for v in row] for row in cells]
+    assert np.array_equal(got.values, np.array(expect))
+    assert np.array_equal(got.grid.points, [0.0, 0.25, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "1.0,2.0\n3.0\n", "1.0,x\n",
+                                  "#1.0,2.0\n", "1.0,2.0,3.0\n"])
+def test_curves_csv_rejects_missing_or_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,0.0,1.0\n" + body)
+    with pytest.raises(ValueError):
+        read_curves_csv(path)
+
+
 def test_responses_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("z\n1.0\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from funvar.curves import Curve, CurveSet, uniform_grid
 from funvar.estimators import (
@@ -395,6 +395,70 @@ def test_cv_disqualifies_high_fallback_candidates():
     assert res.bandwidth == 10.0
     with pytest.raises(BandwidthSelectionError):
         cv_bandwidth(cs, y, SPEC0, "quadratic", [1e-6, 1e-5])
+
+
+@pytest.mark.parametrize("kernel", ["quadratic", "triangle", "uniform"])
+def test_cv_sweep_matches_loo_oracle_on_edge_cases(kernel):
+    rng = np.random.default_rng(44)
+    cs, y = random_instance(16, 44)
+    # three duplicate curves with their own responses: d_ij = 0 for i != j
+    cs = CurveSet(cs.grid, np.vstack([cs.values, cs.values[:3]]))
+    y = np.concatenate([y, rng.standard_normal(3)])
+    d = distance_matrix(SPEC0, cs)
+    grid = default_bandwidth_grid(d, 8)
+    assert np.isin(grid, d).all()  # pairs sit exactly on every candidate
+    tiny = 0.5 * float(d[d > 0].min())  # every row without a duplicate falls back
+    # unsorted, with a duplicate, and the smallest candidate not first
+    cands = [grid[5], tiny, grid[0], grid[2], grid[5], grid[-1], grid[1]]
+    res = cv_bandwidth(cs, y, SPEC0, kernel, cands, dist=d, fallback_threshold=1.0)
+    n = len(y)
+    scores, fb_rates = [], []
+    for k, h in enumerate(cands):
+        score, n_fb = oracles.loo_cv_score(d.tolist(), y.tolist(), h, kernel)
+        assert res.scores[k] == pytest.approx(score, rel=1e-12, abs=1e-12)
+        assert res.fallback_rates[k] == n_fb / n
+        scores.append(score)
+        fb_rates.append(n_fb / n)
+    assert fb_rates[1] == (n - 6) / n
+    assert 0 < fb_rates[2] < fb_rates[1]  # some rows fall back, others not
+    assert_array_equal(res.candidates, cands)
+    assert res.bandwidth == min(zip(scores, cands))[1]
+
+
+def test_cv_uniform_kernel_counts_a_pair_at_d_equal_h():
+    cs = const_curves([0.0, 1.0, 2.0])
+    y = [0.0, 3.0, 1.0]
+    d = distance_matrix(SPEC0, cs)
+    h = float(d[0, 1])
+    assert d[1, 2] == h
+    uni = cv_bandwidth(cs, y, SPEC0, "uniform", [h], dist=d)
+    quad = cv_bandwidth(cs, y, SPEC0, "quadratic", [h], dist=d,
+                        fallback_threshold=1.0)
+    for res, kind in ((uni, "uniform"), (quad, "quadratic")):
+        score, n_fb = oracles.loo_cv_score(d.tolist(), y, h, kind)
+        assert res.scores[0] == pytest.approx(score, abs=1e-12)
+        assert res.fallback_rates[0] == n_fb / 3
+    # uniform: the middle point averages both ends; quadratic weighs them 0,
+    # so every row falls back to its nearest other point
+    assert uni.fallback_rates[0] == 0.0 and quad.fallback_rates[0] == 1.0
+    assert uni.scores[0] == pytest.approx(9.0 + 2.5**2 + 4.0)
+
+
+def test_cv_tie_breaks_to_smallest_bandwidth_in_any_order():
+    cs = const_curves([0.0, 1.0])
+    res = cv_bandwidth(cs, [1.0, 2.0], SPEC0, "uniform", [3.0, 2.0, 2.5])
+    assert res.scores[0] == res.scores[1] == res.scores[2]
+    assert res.bandwidth == 2.0
+
+
+def test_cv_rejects_unknown_kernel_and_misshapen_distances():
+    cs, y = random_instance(4, 45)
+    with pytest.raises(ValueError):
+        cv_bandwidth(cs, y, SPEC0, "gaussian", [1.0])
+    d = distance_matrix(SPEC0, cs)
+    for bad in (d[:3], d[:, :3], np.vstack([d, d[:1]])):
+        with pytest.raises(ValueError):
+            cv_bandwidth(cs, y, SPEC0, "quadratic", [1.0], dist=bad)
 
 
 def test_cv_validation():

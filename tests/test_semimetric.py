@@ -100,6 +100,32 @@ def test_blockwise_pairwise_equals_naive():
     assert_allclose(got, naive, atol=1e-10)
 
 
+def test_pairwise_from_features_matches_naive_in_both_shapes():
+    rng = np.random.default_rng(19)
+    w = rng.uniform(0.01, 1.0, 17)
+    f = rng.standard_normal((40, 17))
+    f[5] = f[2]  # a duplicate curve
+    q = rng.standard_normal((7, 17))
+    q[3] = f[11]  # a query equal to a training curve
+
+    def naive(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.sqrt(np.einsum("ijk,k->ij", diff**2, w))
+
+    own = pairwise_from_features(f, f, w)
+    assert own.shape == (40, 40)
+    assert_allclose(own, naive(f, f), rtol=1e-13, atol=1e-15)
+    assert np.array_equal(own, own.T)
+    assert np.all(np.diag(own) == 0.0)
+    assert own[2, 5] == 0.0 and own[5, 2] == 0.0
+
+    cross = pairwise_from_features(q, f, w)
+    assert cross.shape == (7, 40)
+    assert_allclose(cross, naive(q, f), rtol=1e-13, atol=1e-15)
+    assert cross[3, 11] == 0.0
+    assert np.all(np.delete(cross[3], 11) > 0.0)
+
+
 def test_grid_mismatch_rejected():
     a = random_curves(3, size=11, seed=17)
     b = random_curves(3, size=13, seed=18)
