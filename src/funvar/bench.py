@@ -209,7 +209,8 @@ def fit_pipeline(
     semi-metric: h_m on the responses, h_v on the stage's pseudo-responses
     (squared residuals around the fitted mean, or squared responses for the
     direct method). A stage whose spec has the same trained basis as the
-    mean's shares its features, distances and grid. ``residual_pseudo``
+    mean's shares its features, distances, grid and binned pairs, so each
+    semi-metric bins its pairs once. ``residual_pseudo``
     replaces the squared residuals, e.g. with squared errors around a known
     mean.
     """
@@ -218,8 +219,7 @@ def fit_pipeline(
         # a given bandwidth skips cross-validation
         if h is not None:
             return h, None
-        cv = cv_bandwidth(train, responses, metric.spec, kernel,
-                          metric.grid(grid_size), dist=metric.dist)
+        cv = cv_bandwidth(train, responses, metric, kernel, metric.grid(grid_size))
         return cv.bandwidth, cv
 
     metric = TrainedMetric(spec, train)

@@ -6,11 +6,13 @@ bandwidth from the target point receive exactly zero weight.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-KERNEL_KINDS = ("quadratic", "uniform", "triangle")
+# p with K(u) = 1 - u**p on [0, 1]; 0 marks the uniform kernel, K = 1
+KERNEL_POWER = {"quadratic": 2, "uniform": 0, "triangle": 1}
+KERNEL_KINDS = tuple(KERNEL_POWER)
 
 # empty-neighborhood policies
 POLICY_ERROR = "error"
@@ -22,33 +24,33 @@ class EmptyNeighborhoodError(RuntimeError):
     """No training point within one bandwidth under the 'error' policy."""
 
 
-def _quadratic(u: np.ndarray) -> np.ndarray:
-    return np.where((u >= 0) & (u <= 1), 1.0 - u * u, 0.0)
+def kernel_power(kind: str) -> int:
+    """The power p of the kernel K(u) = 1 - u**p on [0, 1]."""
+    try:
+        return KERNEL_POWER[kind]
+    except KeyError:
+        raise ValueError(f"unknown kernel {kind!r}; choose from {KERNEL_KINDS}")
 
 
-def _uniform(u: np.ndarray) -> np.ndarray:
-    return np.where((u >= 0) & (u <= 1), 1.0, 0.0)
-
-
-def _triangle(u: np.ndarray) -> np.ndarray:
-    return np.where((u >= 0) & (u <= 1), 1.0 - u, 0.0)
-
-
-_KERNELS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "quadratic": _quadratic,
-    "uniform": _uniform,
-    "triangle": _triangle,
-}
+def _apply_kernel(u: np.ndarray, p: int) -> np.ndarray:
+    """Overwrite the float array u with K(u); zero outside [0, 1] (and at NaN)."""
+    negative = u < 0.0
+    if p == 0:
+        np.less_equal(u, 1.0, out=u)
+    else:
+        if p == 2:
+            np.multiply(u, u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.fmax(u, 0.0, out=u)  # 0 beyond u = 1, where 1 - u**p < 0, and at NaN
+    if negative.any():
+        u[negative] = 0.0
+    return u
 
 
 def kernel_eval(kind: str, u) -> np.ndarray | float:
     """Evaluate the kernel at u (scalar or array); zero outside [0, 1]."""
-    try:
-        k = _KERNELS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kernel {kind!r}; choose from {KERNEL_KINDS}")
-    u = np.asarray(u, dtype=float)
-    out = k(u)
+    p = kernel_power(kind)
+    out = _apply_kernel(np.array(u, dtype=float, ndmin=1), p).reshape(np.shape(u))
     return float(out) if out.ndim == 0 else out
 
 
@@ -104,21 +106,24 @@ def weight_matrix(
         raise ValueError(f"unknown policy {policy!r}")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    k = kernel_eval(kind, dist / bandwidth)
-    d = dist
+    p = kernel_power(kind)
+    # one buffer: u = d / h, then K(u), then the normalized weights
+    w = _apply_kernel(np.divide(dist, bandwidth, dtype=float), p)
     if exclude_diag:
-        k = k.copy()
-        np.fill_diagonal(k, 0.0)
-        d = dist.copy()
-        np.fill_diagonal(d, np.inf)
-    totals = k.sum(axis=1)
+        np.fill_diagonal(w, 0.0)
+    totals = w.sum(axis=1)
     empty = totals == 0.0
     if np.any(empty):
         if policy == POLICY_ERROR:
             raise EmptyNeighborhoodError(
                 f"{int(empty.sum())} rows have no point within bandwidth {bandwidth}"
             )
-        for i in np.flatnonzero(empty):
-            k[i, int(np.argmin(d[i]))] = 1.0
-        totals = k.sum(axis=1)
-    return k / totals[:, None], empty
+        rows = np.flatnonzero(empty)
+        d = np.array(dist[rows], dtype=float)
+        if exclude_diag:
+            on_diag = rows < d.shape[1]
+            d[on_diag, rows[on_diag]] = np.inf
+        w[rows, np.argmin(d, axis=1)] = 1.0
+        totals[rows] = 1.0
+    w /= totals[:, None]
+    return w, empty

@@ -1,0 +1,225 @@
+"""Binned pair sums shared by cross-validation, in-place kernel weights,
+and the grid read from each pair once."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+import funvar.estimators as estimators
+from funvar.bench import ExperimentConfig, fit_pipeline, run_replication
+from funvar.curves import CurveSet, uniform_grid
+from funvar.estimators import (
+    PairBins,
+    TrainedMetric,
+    cv_bandwidth,
+    default_bandwidth_grid,
+    predict_variance_insample,
+)
+from funvar.kernels import KERNEL_KINDS, weight_matrix
+from funvar.semimetric import SemiMetricSpec, distance_matrix
+
+import oracles
+
+SPEC0 = SemiMetricSpec.deriv_l2()
+
+
+def random_set(n, seed, size=9):
+    rng = np.random.default_rng(seed)
+    cs = CurveSet(uniform_grid(size), rng.standard_normal((n, size)))
+    return cs, rng.standard_normal(n)
+
+
+def edge_case_instance():
+    """Duplicate curves (d_ij = 0 for i != j), pairs exactly on every grid
+    candidate, and a candidate below every positive distance."""
+    rng = np.random.default_rng(44)
+    cs, y = random_set(16, 44)
+    cs = CurveSet(cs.grid, np.vstack([cs.values, cs.values[:3]]))
+    y = np.concatenate([y, rng.standard_normal(3)])
+    d = distance_matrix(SPEC0, cs)
+    grid = default_bandwidth_grid(d, 8)
+    assert np.isin(grid, d).all()
+    tiny = 0.5 * float(d[d > 0].min())
+    return d, y, np.sort(np.append(grid, tiny))
+
+
+def random_instance():
+    cs, y = random_set(30, 7)
+    d = distance_matrix(SPEC0, cs)
+    return d, y, default_bandwidth_grid(d, 12)
+
+
+@pytest.mark.parametrize("make", [edge_case_instance, random_instance])
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_loo_fits_off_the_bins_match_the_weight_matrix_path(make, kernel):
+    d, y, hs = make()
+    bins = PairBins(d, hs, kernel)
+    fits = bins.loo_fits(y)
+    for j, h in enumerate(hs):
+        w, fb = weight_matrix(d, h, kernel, exclude_diag=True)
+        assert_array_equal(bins.empty[:, j], fb)
+        assert bins.fallback_rates[j] == fb.sum() / len(y)
+        # S - T/h^p cancels when a neighbor sits just inside h: the triangle
+        # kernel on the random instance is 3.6e-12 off the weights
+        np.testing.assert_allclose(fits[:, j], w @ y, rtol=1e-10, atol=1e-12)
+    if make is edge_case_instance:
+        # at the smallest bandwidth only the six duplicates have neighbors
+        assert bins.empty[:, 0].sum() == len(y) - 6
+        assert 0 < bins.empty[:, 1].sum() < bins.empty[:, 0].sum()
+
+
+def count_calls(monkeypatch):
+    """Count weight_matrix calls and PairBins constructions in the estimators."""
+    calls = {"weight_matrix": 0, "PairBins": 0}
+
+    def counted_weights(*args, **kwargs):
+        calls["weight_matrix"] += 1
+        return weight_matrix(*args, **kwargs)
+
+    class CountedBins(PairBins):
+        def __init__(self, *args):
+            calls["PairBins"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(estimators, "weight_matrix", counted_weights)
+    monkeypatch.setattr(estimators, "PairBins", CountedBins)
+    return calls
+
+
+@pytest.mark.parametrize("self_inclusion, in_sample_fits", [
+    ("include_self", 3),  # the mean once, then one per variance stage
+    ("leave_one_out", 4),  # plus the leave-one-out mean behind the residuals
+])
+def test_replication_bins_once_and_weighs_only_in_sample_fits(
+    monkeypatch, self_inclusion, in_sample_fits
+):
+    calls = count_calls(monkeypatch)
+    cfg = ExperimentConfig("ex2", n=60, self_inclusion=self_inclusion)
+    rec = run_replication(cfg, 0)
+    assert not rec.failed
+    # three cross-validations (h_m and both h_v) read one set of bins
+    assert calls == {"weight_matrix": in_sample_fits, "PairBins": 1}
+
+
+def test_pipeline_bins_each_metric_once(monkeypatch):
+    calls = count_calls(monkeypatch)
+    cs, y = random_set(40, 8)
+    pca = SemiMetricSpec.pca_projection(2)
+    fit = fit_pipeline(cs, y, SPEC0, "quadratic",
+                       [("residual", pca, None), ("direct", SPEC0, None)], grid_size=10)
+    assert calls["PairBins"] == 2
+    metric = fit.mean.metric
+    grid = metric.grid(10)
+    assert metric.pair_bins("quadratic", grid) is metric.pair_bins("quadratic", grid)
+    cv = cv_bandwidth(cs, y, metric, "quadratic", grid)
+    assert calls["PairBins"] == 2
+    assert cv.bandwidth == fit.cv_m.bandwidth
+    assert_array_equal(cv.scores, fit.cv_m.scores)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_given_bandwidth_pipeline_matches_the_oracles(kernel):
+    cs, y = random_set(12, 9)
+    d = distance_matrix(SPEC0, cs)
+    h_m, h_v = (float(np.quantile(d[d > 0], q)) for q in (0.4, 0.6))
+    fit = fit_pipeline(cs, y, SPEC0, kernel,
+                       [("residual", SPEC0, h_v), ("direct", SPEC0, h_v)], h_m=h_m)
+    assert fit.cv_m is None and fit.cv_v == (None, None)
+    dl, yl = d.tolist(), y.tolist()
+    means = oracles.insample_means(dl, h_m, kernel, yl)
+    r2 = [(yi - mi) ** 2 for yi, mi in zip(yl, means)]
+    residual, direct = (predict_variance_insample(v)[0] for v in fit.variances)
+    for i in range(len(y)):
+        assert fit.mean.fitted()[0][i] == pytest.approx(means[i], rel=1e-10, abs=1e-12)
+        want_r = oracles.variance_residual(dl[i], h_v, kernel, r2)
+        assert residual[i] == pytest.approx(want_r, rel=1e-10, abs=1e-12)
+        want_d = oracles.variance_direct(dl[i], h_v, dl[i], h_m, kernel, yl)
+        assert direct[i] == pytest.approx(want_d, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["quadratic", "uniform"])
+def test_a_300_candidate_grid_bins_in_uint16_and_matches_the_oracle(kernel):
+    cs, y = random_set(40, 10)
+    fit = fit_pipeline(cs, y, SPEC0, kernel, grid_size=300)
+    metric = fit.mean.metric
+    grid = metric.grid(300)
+    assert grid.size > 255
+    assert metric.pair_bins(kernel, grid).bins.dtype == np.uint16
+    dl, yl = metric.dist.tolist(), y.tolist()
+    for h, score, rate in zip(grid, fit.cv_m.scores, fit.cv_m.fallback_rates):
+        want, n_fb = oracles.loo_cv_score(dl, yl, h, kernel)
+        assert score == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert rate == n_fb / len(y)
+
+
+@pytest.mark.parametrize("kernel, side", [("quadratic", "right"), ("uniform", "left")])
+def test_bins_are_the_first_bandwidth_each_pair_counts_for(kernel, side):
+    d, _, hs = edge_case_instance()
+    want = np.searchsorted(hs, d, side=side)
+    np.fill_diagonal(want, hs.size)
+    assert_array_equal(PairBins(d, hs, kernel).bins, want)
+
+
+def reference_weights(dist, h, kernel, exclude_diag=False):
+    """The weights as np.where over fresh temporaries, then normalized."""
+    u = dist / h
+    p = {"quadratic": 2, "uniform": 0, "triangle": 1}[kernel]
+    k = np.where((u >= 0) & (u <= 1), 1.0 - u**p if p else 1.0, 0.0)
+    d = np.array(dist, dtype=float)
+    if exclude_diag:
+        np.fill_diagonal(k, 0.0)
+        np.fill_diagonal(d, np.inf)
+    totals = k.sum(axis=1)
+    empty = totals == 0.0
+    for i in np.flatnonzero(empty):
+        k[i, np.argmin(d[i])] = 1.0
+    return k / k.sum(axis=1)[:, None], empty
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+@pytest.mark.parametrize("exclude_diag", [False, True])
+def test_in_place_weights_are_bit_identical_to_the_reference(kernel, exclude_diag):
+    d, _, hs = edge_case_instance()
+    d = d.copy()
+    d[0, 5] = -0.5 * hs[3]  # negative and NaN distances get zero weight
+    d[1, 2] = np.nan
+    for h in hs:
+        w, fb = weight_matrix(d, h, kernel, exclude_diag=exclude_diag)
+        want_w, want_fb = reference_weights(d, h, kernel, exclude_diag)
+        assert_array_equal(w, want_w)
+        assert_array_equal(fb, want_fb)
+    rect = d[:5]
+    w, fb = weight_matrix(rect, hs[0], kernel, exclude_diag=exclude_diag)
+    want_w, want_fb = reference_weights(rect, hs[0], kernel, exclude_diag)
+    assert_array_equal(w, want_w)
+    assert_array_equal(fb, want_fb)
+
+
+def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():
+    rng = np.random.default_rng(12)
+    for n, size in ((7, 5), (30, 20), (41, 33)):
+        # small integer curves: many tied distances
+        cs = CurveSet(uniform_grid(3), rng.integers(0, 4, size=(n, 3)).astype(float))
+        d = distance_matrix(SPEC0, cs)
+        off = d[~np.eye(n, dtype=bool)]
+        qs = np.linspace(0.05, 1.0, size)
+        want = np.unique(np.quantile(off[off > 0], qs, method="inverted_cdf"))
+        assert_array_equal(default_bandwidth_grid(d, size), want)
+        assert_array_equal(TrainedMetric(SPEC0, cs).grid(size), want)
+
+
+def test_cv_with_a_given_dist_never_trains_the_spec():
+    # dim 12 exceeds the 9-point grid, so training this projection would raise
+    cs, y = random_set(30, 7)
+    d = distance_matrix(SPEC0, cs)
+    hs = default_bandwidth_grid(d, 12)
+    cv = cv_bandwidth(cs, y, SemiMetricSpec.pca_projection(12), "quadratic", hs, dist=d)
+    for h, score in zip(hs, cv.scores):
+        assert score == pytest.approx(oracles.loo_cv_score(d, y, h, "quadratic")[0], rel=1e-12)
+
+
+def test_cv_rejects_a_dist_beside_a_trained_metric():
+    cs, y = random_set(30, 7)
+    metric = TrainedMetric(SPEC0, cs)
+    with pytest.raises(ValueError, match="own distances"):
+        cv_bandwidth(cs, y, metric, "quadratic", metric.grid(12), dist=metric.dist)

@@ -1,0 +1,184 @@
+"""Layer timings of one Monte-Carlo replication, written to BENCH_<label>.json.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/bench_layers.py LABEL [--src DIR] [--out-dir DIR]
+
+Imports ``funvar`` from ``--src`` (default: this checkout's ``src/``), so the
+same script can time an older checkout. BLAS runs on one thread. For each
+n in ``SIZES`` it draws one ex2 dataset (seed 0, stream 0) and times
+``run_replication`` on it ``REPEATS`` times (default grid of 20 candidates,
+quadratic kernel, both variance methods). The fastest replication is kept, with its time per
+layer. A layer's time is the time spent in these functions, found by
+identity in every ``funvar`` module and wrapped for the run:
+
+* ``distances``: ``semimetric.pairwise_from_features``;
+* ``grid``: ``estimators.default_bandwidth_grid``;
+* ``binning``: ``estimators.PairBins.__init__`` (null in a tree without it,
+  where the binning is part of every cross-validation);
+* ``cv_scores``: ``estimators.cv_bandwidth``, less the binning inside it;
+* ``in_sample_fits``: ``estimators._smooth`` (kernel weights and the
+  weighted sums);
+* ``other``: the rest of the replication.
+
+The output also records the machine (CPU model, core count, Python, numpy,
+scipy) and a digest of the package's source files.
+"""
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# fixed, so that any two BENCH files compare
+SIZES = (200, 800, 2000)
+REPEATS = 3
+LAYERS = {
+    "distances": ("semimetric", "pairwise_from_features"),
+    "grid": ("estimators", "default_bandwidth_grid"),
+    "binning": ("estimators", "PairBins.__init__"),
+    "cv_scores": ("estimators", "cv_bandwidth"),
+    "in_sample_fits": ("estimators", "_smooth"),
+}
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("label", help="names the output file BENCH_<label>.json")
+    p.add_argument("--src", type=Path, default=ROOT / "src")
+    p.add_argument("--out-dir", type=Path, default=Path("."))
+    return p.parse_args(argv)
+
+
+class LayerClock:
+    """Inclusive wall time per layer, by wrapping each layer's function
+    wherever a ``funvar`` module or class holds it."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(LAYERS, 0.0)
+        self.calls = dict.fromkeys(LAYERS, 0)
+        self._restore = []
+
+    def _wrap(self, layer, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds[layer] += time.perf_counter() - t0
+                self.calls[layer] += 1
+        return timed
+
+    def install(self) -> set:
+        """Wrap every layer found; returns the layers the package lacks."""
+        mods = [m for name, m in sys.modules.items()
+                if m is not None and name.startswith("funvar")]
+        missing = set()
+        for layer, (module, path) in LAYERS.items():
+            owner = importlib.import_module(f"funvar.{module}")
+            *cls, attr = path.split(".")
+            if cls:
+                owner = getattr(owner, cls[0], None)
+            fn = getattr(owner, attr, None) if owner is not None else None
+            if fn is None:
+                missing.add(layer)
+                continue
+            timed = self._wrap(layer, fn)
+            holders = [owner] if cls else mods
+            for holder in holders:
+                for key, value in list(vars(holder).items()):
+                    if value is fn:
+                        setattr(holder, key, timed)
+                        self._restore.append((holder, key, fn))
+        return missing
+
+    def uninstall(self):
+        for holder, key, fn in reversed(self._restore):
+            setattr(holder, key, fn)
+        self._restore.clear()
+
+    def reset(self):
+        self.seconds = dict.fromkeys(LAYERS, 0.0)
+        self.calls = dict.fromkeys(LAYERS, 0)
+
+
+def machine() -> dict:
+    import numpy
+    import scipy
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            cpu = next(line.split(":", 1)[1].strip() for line in f
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "cpus": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "blas_threads": 1}
+
+
+def source_digest(src: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((src / "funvar").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads its BLAS
+    sys.path.insert(0, str(args.src.resolve()))
+    from funvar.bench import ExperimentConfig, run_replication
+    from funvar.simulate import SimSpec, gen_dataset
+
+    clock = LayerClock()
+    missing = clock.install()
+    runs = []
+    try:
+        for n in SIZES:
+            cfg = ExperimentConfig("ex2", n=n, n_reps=1)
+            ds = gen_dataset(SimSpec("ex2", n, 0, 0))
+            best = None
+            walls = []
+            for _ in range(REPEATS):
+                clock.reset()
+                t0 = time.perf_counter()
+                rec = run_replication(cfg, 0, dataset=ds)
+                wall = time.perf_counter() - t0
+                walls.append(wall)
+                if best is None or wall < best[0]:
+                    best = (wall, dict(clock.seconds), dict(clock.calls), rec)
+            wall, seconds, calls, rec = best
+            layers = {k: (None if k in missing else v) for k, v in seconds.items()}
+            if layers["binning"] is not None:
+                layers["cv_scores"] -= layers["binning"]
+            layers["other"] = wall - sum(v for v in layers.values() if v is not None)
+            runs.append({"n": n, "replication_s": wall, "replication_s_all": walls,
+                         "layers_s": layers, "calls": calls,
+                         "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
+            print(f"n={n}: {wall:.4f} s " + " ".join(
+                f"{k}={'-' if v is None else f'{v:.4f}'}" for k, v in layers.items()))
+    finally:
+        clock.uninstall()
+    out = {"label": args.label, "machine": machine(),
+           "source_sha256": source_digest(args.src),
+           "config": {"design": "ex2", "seed": 0, "stream": 0, "kernel": "quadratic",
+                      "grid_size": 20, "methods": ["residual", "direct"],
+                      "repeats": REPEATS},
+           "runs": runs}
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
