@@ -208,9 +208,10 @@ def fit_pipeline(
     None is chosen by cross-validation over the default grid of its stage's
     semi-metric: h_m on the responses, h_v on the stage's pseudo-responses
     (squared residuals around the fitted mean, or squared responses for the
-    direct method). A stage whose spec has the same trained basis as the
-    mean's shares its features, distances, grid and binned pairs, so each
-    semi-metric bins its pairs once. ``residual_pseudo``
+    direct method). Stages whose specs have the same trained basis, as
+    each other or as the mean's, share one set of features, distances,
+    grid and binned pairs, so each semi-metric bins its pairs once.
+    ``residual_pseudo``
     replaces the squared residuals, e.g. with squared errors around a known
     mean.
     """

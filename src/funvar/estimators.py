@@ -59,6 +59,7 @@ class TrainedMetric:
         self._dist = dist
         self._grids: dict[int, np.ndarray] = {}
         self._bins: dict[tuple, PairBins] = {}
+        self._others: list[TrainedMetric] = []
 
     @property
     def features(self) -> np.ndarray:
@@ -100,19 +101,34 @@ class TrainedMetric:
         return pairwise_from_features(fx, self.features, self.weights)
 
     def for_spec(self, spec: SemiMetricSpec) -> TrainedMetric:
-        """The metric of ``spec`` on the same training curves: this one when
-        the trained basis is the same, a new one otherwise.
+        """The metric of ``spec`` on the same training curves: this one, or
+        one this method returned before, when the trained basis is the
+        same; a new one otherwise.
 
         Spec equality ignores a projection's basis, so the basis is
         compared as well.
         """
         if not spec.trained:
             spec = train_projection(spec, self.train)
-        if spec == self.spec and (
-            spec.basis is None or np.array_equal(spec.basis, self.spec.basis)
+        for metric in (self, *self._others):
+            if spec == metric.spec and (
+                spec.basis is None or np.array_equal(spec.basis, metric.spec.basis)
+            ):
+                return metric
+        self._others.append(TrainedMetric(spec, self.train))
+        return self._others[-1]
+
+    def check(self, train: CurveSet, dist) -> TrainedMetric:
+        """This metric, once sure that it is on the curves ``train`` and that
+        no separate ``dist`` came with it; ValueError otherwise."""
+        if dist is not None:
+            raise ValueError("a TrainedMetric carries its own distances; drop dist")
+        if self.train is not train and not (
+            self.train.grid == train.grid
+            and np.array_equal(self.train.values, train.values)
         ):
-            return self
-        return TrainedMetric(spec, self.train)
+            raise ValueError("the TrainedMetric is on other training curves")
+        return self
 
 
 def _smooth(
@@ -163,9 +179,10 @@ def fit_mean(
     """Freeze a Nadaraya-Watson mean fit.
 
     ``spec`` may be a :class:`TrainedMetric` on ``train``, whose cached
-    features and distances the fit then shares; or ``dist`` may pass in a
-    precomputed self-distance matrix under ``spec`` (e.g. shared with
-    bandwidth selection).
+    features and distances the fit then shares; or, with a plain spec,
+    ``dist`` may pass in a precomputed self-distance matrix under ``spec``
+    (e.g. shared with bandwidth selection). A TrainedMetric on other curves,
+    or with a ``dist`` beside it, raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     n = len(train)
@@ -177,9 +194,9 @@ def fit_mean(
         raise ValueError("responses must be finite")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    if not isinstance(spec, TrainedMetric):
-        spec = TrainedMetric(spec, train, dist)
-    return MeanFit(spec, y, kernel, float(bandwidth), policy)
+    metric = (spec.check(train, dist) if isinstance(spec, TrainedMetric)
+              else TrainedMetric(spec, train, dist))
+    return MeanFit(metric, y, kernel, float(bandwidth), policy)
 
 
 def predict_mean(fit: MeanFit, x: Curve) -> Prediction:
@@ -274,8 +291,9 @@ def fit_variance(
     ``pseudo_responses`` overrides them, e.g. with squared errors around a
     known mean function. The fit shares the mean fit's distances when
     ``spec`` has the same trained basis; ``spec`` may also be a
-    :class:`TrainedMetric` on the training curves, and ``dist`` a
-    precomputed self-distance matrix under ``spec``.
+    :class:`TrainedMetric` on the training curves (ValueError on other
+    curves or with a ``dist``), and ``dist`` a precomputed self-distance
+    matrix under a plain ``spec``.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown variance method {method!r}")
@@ -296,7 +314,7 @@ def fit_variance(
     if method == "residual" and np.any(pseudo < 0):
         raise ValueError("residual pseudo-responses must be nonnegative")
     if isinstance(spec, TrainedMetric):
-        metric = spec
+        metric = spec.check(mean_fit.train, dist)
     elif dist is None:
         metric = mean_fit.metric.for_spec(spec)
     else:
@@ -404,8 +422,9 @@ def cv_bandwidth(
     fallback rate exceeds ``fallback_threshold`` are disqualified; the
     winner is the qualified candidate with the smallest score (smallest
     bandwidth on ties). ``spec`` may be a :class:`TrainedMetric` on
-    ``train``, whose cached :class:`PairBins` the sweep then reuses; with a
-    plain spec, ``dist`` may give the self-distance matrix under it.
+    ``train`` (ValueError on other curves or with a ``dist``), whose cached
+    :class:`PairBins` the sweep then reuses; with a plain spec, ``dist``
+    may give the self-distance matrix under it.
     """
     resp = np.asarray(responses, dtype=float)
     cand = np.asarray(candidates, dtype=float)
@@ -416,9 +435,7 @@ def cv_bandwidth(
     if resp.shape != (len(train),):
         raise ValueError("responses must align with the training curves")
     if isinstance(spec, TrainedMetric):
-        if dist is not None:
-            raise ValueError("a TrainedMetric carries its own distances; drop dist")
-        dist = spec.dist
+        dist = spec.check(train, dist).dist
     elif dist is None:
         spec = TrainedMetric(spec, train)
         dist = spec.dist
@@ -551,5 +568,8 @@ def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
     if pos.size == 0:
         raise ValueError("no positive distance to build a grid from")
     qs = np.array([1.0]) if size == 1 else np.linspace(0.05, 1.0, size)
-    # pos is a fresh copy, so the selection may reorder it in place
+    # pos is a fresh copy, so it may be sorted in place: one sort is several
+    # times faster than the selections np.quantile makes on unsorted input,
+    # and the quantiles (each one an element) stay the same
+    pos.sort()
     return np.unique(np.quantile(pos, qs, method="inverted_cdf", overwrite_input=True))

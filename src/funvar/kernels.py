@@ -107,11 +107,21 @@ def weight_matrix(
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     p = kernel_power(kind)
-    # one buffer: u = d / h, then K(u), then the normalized weights
-    w = _apply_kernel(np.divide(dist, bandwidth, dtype=float), p)
-    if exclude_diag:
-        np.fill_diagonal(w, 0.0)
-    totals = w.sum(axis=1)
+    dist = np.asarray(dist)
+    n, m = dist.shape
+    # one buffer: u = d / h, then K(u), then the normalized weights; the
+    # first two steps and the row totals run over blocks of about 32k
+    # entries, which stay in cache between the steps
+    w = np.empty((n, m))
+    totals = np.empty(n)
+    rows = max(1, (1 << 15) // max(m, 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = _apply_kernel(np.divide(dist[lo:hi], bandwidth, out=w[lo:hi]), p)
+        if exclude_diag:
+            on_diag = np.arange(lo, min(hi, m))
+            block[on_diag - lo, on_diag] = 0.0
+        block.sum(axis=1, out=totals[lo:hi])
     empty = totals == 0.0
     if np.any(empty):
         if policy == POLICY_ERROR:

@@ -145,14 +145,17 @@ def pairwise_from_features(
 ) -> np.ndarray:
     """sqrt(sum_k w_k (fa_i - fb_j)^2) for every row pair.
 
-    Entries are computed directly from differences (no Gram expansion), so
-    a curve's distance to an identical one is exactly zero; with ``fb is
-    fa`` each pair is computed once and the matrix comes out exactly
-    symmetric with a zero diagonal.
+    Both blocks are scaled by sqrt(w) once, so each pair costs an
+    unweighted Euclidean distance rather than a weighted one. Entries are computed
+    directly from differences (no Gram expansion), so a curve's distance to
+    an identical one is exactly zero; with ``fb is fa`` each pair is
+    computed once and the matrix comes out exactly symmetric with a zero
+    diagonal.
     """
+    sqrt_w = np.sqrt(w)
     if fb is fa:
-        return squareform(pdist(fa, "euclidean", w=w))
-    return cdist(fa, fb, "euclidean", w=w)
+        return squareform(pdist(fa * sqrt_w, "euclidean"))
+    return cdist(fa * sqrt_w, fb * sqrt_w, "euclidean")
 
 
 def distance(spec: SemiMetricSpec, a: Curve, b: Curve) -> float:

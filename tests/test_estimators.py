@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from funvar.curves import Curve, CurveSet, uniform_grid
 from funvar.estimators import (
     BandwidthSelectionError,
+    TrainedMetric,
     cv_bandwidth,
     default_bandwidth_grid,
     fit_mean,
@@ -21,6 +22,7 @@ from funvar.estimators import (
 )
 from funvar.kernels import POLICY_ERROR, EmptyNeighborhoodError, weight_matrix
 from funvar.semimetric import SemiMetricSpec, distance_matrix, train_projection
+from funvar.simulate import SimSpec, gen_dataset
 
 import oracles
 
@@ -533,3 +535,42 @@ def test_variance_fit_shares_the_mean_metric_for_the_same_basis():
     for spec in (fit.spec, SemiMetricSpec.pca_projection(dim=2)):
         assert fit_variance("residual", fit, spec).metric is fit.metric
     assert fit_variance("residual", fit, SPEC0).metric is not fit.metric
+
+
+def test_a_metric_on_other_curves_is_rejected():
+    a, ya = random_instance(12, 53)
+    b, _ = random_instance(12, 54)
+    other = TrainedMetric(SPEC0, b)
+    with pytest.raises(ValueError, match="other training curves"):
+        fit_mean(a, ya, other)
+    with pytest.raises(ValueError, match="other training curves"):
+        cv_bandwidth(a, ya, other, "quadratic", other.grid(5))
+    fit = fit_mean(a, ya, SPEC0)
+    with pytest.raises(ValueError, match="other training curves"):
+        fit_variance("residual", fit, other)
+    # a copy of the same curves is the same training set
+    same = CurveSet(a.grid, a.values.copy())
+    assert fit_mean(same, ya, fit.metric).metric is fit.metric
+    assert fit_variance("direct", fit, fit.metric).metric is fit.metric
+
+
+def test_fits_reject_a_dist_beside_a_trained_metric():
+    cs, y = random_instance(12, 55)
+    metric = TrainedMetric(SPEC0, cs)
+    with pytest.raises(ValueError, match="own distances"):
+        fit_mean(cs, y, metric, dist=metric.dist)
+    fit = fit_mean(cs, y, metric)
+    with pytest.raises(ValueError, match="own distances"):
+        fit_variance("residual", fit, metric, dist=metric.dist)
+
+
+@pytest.mark.parametrize("design, n, spec", [
+    ("ex2", 2000, SPEC0),
+    ("ex3", 500, SemiMetricSpec.deriv_l2(1, "bspline")),
+    ("ex1", 300, SemiMetricSpec.pca_projection(3)),
+])
+def test_cross_distances_to_the_training_curves_are_the_self_distances(design, n, spec):
+    # predict at the training curves relies on this, bit for bit
+    curves = gen_dataset(SimSpec(design, n, 0, 0)).curves
+    metric = TrainedMetric(spec, curves)
+    assert_array_equal(metric.cross(curves), metric.dist)

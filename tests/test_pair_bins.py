@@ -1,5 +1,5 @@
-"""Binned pair sums shared by cross-validation, in-place kernel weights,
-and the grid read from each pair once."""
+"""Binned pair sums shared by cross-validation, one metric per trained
+basis, in-place kernel weights, and the grid read from each pair once."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from funvar.estimators import (
     default_bandwidth_grid,
     predict_variance_insample,
 )
-from funvar.kernels import KERNEL_KINDS, weight_matrix
+from funvar.kernels import KERNEL_KINDS, POLICY_ERROR, EmptyNeighborhoodError, weight_matrix
 from funvar.semimetric import SemiMetricSpec, distance_matrix
 
 import oracles
@@ -117,6 +117,19 @@ def test_pipeline_bins_each_metric_once(monkeypatch):
     assert_array_equal(cv.scores, fit.cv_m.scores)
 
 
+def test_stages_that_share_a_spec_share_its_metric(monkeypatch):
+    calls = count_calls(monkeypatch)
+    cs, y = random_set(40, 8)
+    pca = SemiMetricSpec.pca_projection(2)
+    fit = fit_pipeline(cs, y, SPEC0, "quadratic",
+                       [("residual", SPEC0, None), ("direct", pca, None),
+                        ("residual", pca, None)], grid_size=10)
+    assert calls["PairBins"] == 2
+    metrics = [v.metric for v in fit.variances]
+    assert metrics[0] is fit.mean.metric
+    assert metrics[1] is metrics[2] and metrics[1] is not metrics[0]
+
+
 @pytest.mark.parametrize("kernel", KERNEL_KINDS)
 def test_given_bandwidth_pipeline_matches_the_oracles(kernel):
     cs, y = random_set(12, 9)
@@ -188,11 +201,25 @@ def test_in_place_weights_are_bit_identical_to_the_reference(kernel, exclude_dia
         want_w, want_fb = reference_weights(d, h, kernel, exclude_diag)
         assert_array_equal(w, want_w)
         assert_array_equal(fb, want_fb)
-    rect = d[:5]
-    w, fb = weight_matrix(rect, hs[0], kernel, exclude_diag=exclude_diag)
-    want_w, want_fb = reference_weights(rect, hs[0], kernel, exclude_diag)
-    assert_array_equal(w, want_w)
-    assert_array_equal(fb, want_fb)
+    # wide; tall over several row blocks of about 32k entries; rows longer
+    # than a block; and a square matrix whose diagonal crosses every block
+    queries, _ = random_set(33000, 45)
+    tall = distance_matrix(SPEC0, queries.subset(np.arange(3600)),
+                           queries.subset(np.arange(19)))
+    wide = distance_matrix(SPEC0, queries.subset([0, 1]), queries)
+    square = distance_matrix(SPEC0, queries.subset(np.arange(300)))
+    for other in (d[:5], tall, wide, square):
+        for h in (hs[0], hs[4]):
+            w, fb = weight_matrix(other, h, kernel, exclude_diag=exclude_diag)
+            want_w, want_fb = reference_weights(other, h, kernel, exclude_diag)
+            assert_array_equal(w, want_w)
+            assert_array_equal(fb, want_fb)
+    # fallback rows in the first and the last block of the tall matrix
+    h = hs[4]
+    _, want_fb = reference_weights(tall, h, kernel, exclude_diag)
+    assert want_fb[:1000].any() and want_fb[-1000:].any()
+    with pytest.raises(EmptyNeighborhoodError, match=f"^{want_fb.sum()} rows "):
+        weight_matrix(tall, h, kernel, POLICY_ERROR, exclude_diag)
 
 
 def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():

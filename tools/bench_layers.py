@@ -21,17 +21,28 @@ identity in every ``funvar`` module and wrapped for the run:
   weighted sums);
 * ``other``: the rest of the replication.
 
+It then times the CLI round trip ``funvar fit`` then ``funvar predict``
+in process, ``REPEATS`` times, on the sizes of the benchmark's
+``cli_ex3_fit_predict`` workload (``CLI_TRAIN`` ex3 training curves,
+seed 0 stream 0; ``CLI_QUERIES`` query curves, stream 1; ``CLI_FIT_FLAGS``),
+and keeps the fastest round trip with the same layers; there
+``in_sample_fits`` also holds the smooths at the query curves, and
+``other`` the CSV reading and writing.
+
 The output also records the machine (CPU model, core count, Python, numpy,
 scipy) and a digest of the package's source files.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,6 +50,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # fixed, so that any two BENCH files compare
 SIZES = (200, 800, 2000)
 REPEATS = 3
+CLI_TRAIN = 500
+CLI_QUERIES = 5000
+CLI_FIT_FLAGS = ("--deriv-method", "bspline", "--order", "1", "--v-order", "0",
+                 "--method", "direct")
 LAYERS = {
     "distances": ("semimetric", "pairwise_from_features"),
     "grid": ("estimators", "default_bandwidth_grid"),
@@ -130,11 +145,63 @@ def source_digest(src: Path) -> str:
     return h.hexdigest()
 
 
+def layer_times(seconds: dict, missing: set, wall: float) -> dict:
+    """Per-layer seconds of one run: the binning taken out of the CV
+    scores, null for a layer the package lacks, the rest as ``other``."""
+    layers = {k: (None if k in missing else v) for k, v in seconds.items()}
+    if layers["binning"] is not None:
+        layers["cv_scores"] -= layers["binning"]
+    layers["other"] = wall - sum(v for v in layers.values() if v is not None)
+    return layers
+
+
+def print_run(name: str, wall: float, layers: dict) -> None:
+    print(f"{name}: {wall:.4f} s " + " ".join(
+        f"{k}={'-' if v is None else f'{v:.4f}'}" for k, v in layers.items()))
+
+
+def cli_round_trip(cli, clock: LayerClock, missing: set) -> dict:
+    """The fastest of ``REPEATS`` CLI fit -> predict round trips."""
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(list(argv))
+        if rc != 0:
+            raise RuntimeError(f"funvar {argv[2]} exited {rc}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, n, stream in (("train", CLI_TRAIN, 0), ("query", CLI_QUERIES, 1)):
+            run("--seed", "0", "--output-dir", tmp, "simulate", "--example", "ex3",
+                "--n", str(n), "--stream", str(stream), "--stem", stem)
+        best = None
+        walls = []
+        for _ in range(REPEATS):
+            clock.reset()
+            t0 = time.perf_counter()
+            run("--output-dir", tmp, "fit", "--curves", f"{tmp}/train_curves.csv",
+                "--responses", f"{tmp}/train_responses.csv", *CLI_FIT_FLAGS,
+                "--model-out", "model.json")
+            t1 = time.perf_counter()
+            run("--output-dir", tmp, "predict", "--model", f"{tmp}/model.json",
+                "--curves", f"{tmp}/query_curves.csv", "--out", "predictions.csv")
+            t2 = time.perf_counter()
+            walls.append(t2 - t0)
+            if best is None or t2 - t0 < best[0]:
+                best = (t2 - t0, t1 - t0, t2 - t1, dict(clock.seconds), dict(clock.calls))
+    wall, fit_s, predict_s, seconds, calls = best
+    layers = layer_times(seconds, missing, wall)
+    print_run("cli", wall, layers)
+    return {"n_train": CLI_TRAIN, "queries": CLI_QUERIES, "fit_flags": list(CLI_FIT_FLAGS),
+            "round_trip_s": wall, "round_trip_s_all": walls, "fit_s": fit_s,
+            "predict_s": predict_s, "layers_s": layers, "calls": calls}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads its BLAS
     sys.path.insert(0, str(args.src.resolve()))
+    from funvar import cli  # before the clock installs, so its names are wrapped too
     from funvar.bench import ExperimentConfig, run_replication
     from funvar.simulate import SimSpec, gen_dataset
 
@@ -156,15 +223,12 @@ def main(argv=None) -> int:
                 if best is None or wall < best[0]:
                     best = (wall, dict(clock.seconds), dict(clock.calls), rec)
             wall, seconds, calls, rec = best
-            layers = {k: (None if k in missing else v) for k, v in seconds.items()}
-            if layers["binning"] is not None:
-                layers["cv_scores"] -= layers["binning"]
-            layers["other"] = wall - sum(v for v in layers.values() if v is not None)
+            layers = layer_times(seconds, missing, wall)
             runs.append({"n": n, "replication_s": wall, "replication_s_all": walls,
                          "layers_s": layers, "calls": calls,
                          "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
-            print(f"n={n}: {wall:.4f} s " + " ".join(
-                f"{k}={'-' if v is None else f'{v:.4f}'}" for k, v in layers.items()))
+            print_run(f"n={n}", wall, layers)
+        cli_run = cli_round_trip(cli, clock, missing)
     finally:
         clock.uninstall()
     out = {"label": args.label, "machine": machine(),
@@ -172,7 +236,7 @@ def main(argv=None) -> int:
            "config": {"design": "ex2", "seed": 0, "stream": 0, "kernel": "quadratic",
                       "grid_size": 20, "methods": ["residual", "direct"],
                       "repeats": REPEATS},
-           "runs": runs}
+           "runs": runs, "cli_round_trip": cli_run}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
