@@ -13,13 +13,13 @@ byte-identical at any thread count.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blocks import usable_cpus
 from .curves import CurveSet, read_curves_csv, read_responses_csv
 from .estimators import (
     BandwidthSelectionError,
@@ -295,10 +295,10 @@ def run_replication(
 
 def worker_count(threads: int, n_reps: int) -> int:
     """Replication threads to start: ``threads``, capped by the number of
-    replications and of CPUs, since more would only wait."""
+    replications and of usable CPUs, since more would only wait."""
     if threads < 1:
         raise ValueError("threads must be positive")
-    return min(threads, n_reps, os.cpu_count() or 1)
+    return min(threads, n_reps, usable_cpus())
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:

@@ -136,8 +136,8 @@ def _smooth(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel smooth of ``values`` at the points whose distances to the
     training curves are the rows of ``dist``: (estimates, fallback mask)."""
-    w, fb = weight_matrix(dist, fit.bandwidth, fit.kernel, fit.policy, exclude_diag)
-    return w @ values, fb
+    return weight_matrix(dist, fit.bandwidth, fit.kernel, fit.policy, exclude_diag,
+                         values=values)
 
 
 @dataclass(frozen=True)
@@ -568,8 +568,10 @@ def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
     if pos.size == 0:
         raise ValueError("no positive distance to build a grid from")
     qs = np.array([1.0]) if size == 1 else np.linspace(0.05, 1.0, size)
-    # pos is a fresh copy, so it may be sorted in place: one sort is several
-    # times faster than the selections np.quantile makes on unsorted input,
-    # and the quantiles (each one an element) stay the same
+    # pos is a fresh copy, so it may be sorted in place; the inverted-CDF
+    # quantile at level q is then the element at n q - 1, rounded up to an
+    # index (and at least 0), as np.quantile(..., method="inverted_cdf")
+    # picks it, without the selection np.quantile would make again
     pos.sort()
-    return np.unique(np.quantile(pos, qs, method="inverted_cdf", overwrite_input=True))
+    at = np.maximum(np.ceil(pos.size * qs - 1), 0).astype(np.intp)
+    return np.unique(pos[at])

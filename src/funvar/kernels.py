@@ -10,6 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _blocks
+
 # p with K(u) = 1 - u**p on [0, 1]; 0 marks the uniform kernel, K = 1
 KERNEL_POWER = {"quadratic": 2, "uniform": 0, "triangle": 1}
 KERNEL_KINDS = tuple(KERNEL_POWER)
@@ -95,12 +97,18 @@ def weight_matrix(
     kind: str = "quadratic",
     policy: str = POLICY_FALLBACK,
     exclude_diag: bool = False,
+    values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized kernel weights for every row of a distance matrix.
 
     With ``exclude_diag`` the diagonal entry of each row is forced to zero
     before normalizing (leave-one-out smoothing). Returns the weight matrix
     and a boolean mask of rows where the nearest-neighbor fallback fired.
+
+    With ``values`` (one per column) the weight matrix is never built: it
+    returns the smoothed values, the weights of each row times ``values``,
+    and the fallback mask; equal bit for bit to
+    ``weight_matrix(...)[0] @ values``.
     """
     if policy not in WEIGHT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -109,31 +117,56 @@ def weight_matrix(
     p = kernel_power(kind)
     dist = np.asarray(dist)
     n, m = dist.shape
-    # one buffer: u = d / h, then K(u), then the normalized weights; the
-    # first two steps and the row totals run over blocks of about 32k
-    # entries, which stay in cache between the steps
-    w = np.empty((n, m))
-    totals = np.empty(n)
-    rows = max(1, (1 << 15) // max(m, 1))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = _apply_kernel(np.divide(dist[lo:hi], bandwidth, out=w[lo:hi]), p)
-        if exclude_diag:
-            on_diag = np.arange(lo, min(hi, m))
-            block[on_diag - lo, on_diag] = 0.0
-        block.sum(axis=1, out=totals[lo:hi])
-    empty = totals == 0.0
-    if np.any(empty):
-        if policy == POLICY_ERROR:
-            raise EmptyNeighborhoodError(
-                f"{int(empty.sum())} rows have no point within bandwidth {bandwidth}"
-            )
-        rows = np.flatnonzero(empty)
-        d = np.array(dist[rows], dtype=float)
-        if exclude_diag:
-            on_diag = rows < d.shape[1]
-            d[on_diag, rows[on_diag]] = np.inf
-        w[rows, np.argmin(d, axis=1)] = 1.0
-        totals[rows] = 1.0
-    w /= totals[:, None]
-    return w, empty
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (m,):
+            raise ValueError(f"{values.shape} values for {m} columns")
+    # row blocks of about 128k entries (1 MB): d / h, K, the row totals, the
+    # fallback and the normalization (and the product with the values) all
+    # run while the block is in cache, and each numpy call is long enough
+    # for blocks on two threads to overlap. Blocks start at multiples of 8
+    # rows: BLAS takes the rows of a matrix-vector product in groups, and
+    # aligned blocks keep every row in the same kind of group as in the
+    # whole-matrix product, so each row's sum is taken in the same order
+    rows = max(8, (1 << 17) // max(m, 1) // 8 * 8)
+    w = np.empty((n, m)) if values is None else None
+    smoothed = np.empty(n) if values is not None else None
+    empty = np.empty(n, dtype=bool)
+
+    def smooth_rows(lo, hi):
+        # a smooth reuses one block-sized buffer; the weights stay in place
+        buffer = np.empty((min(rows, hi - lo), m)) if w is None else None
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            block = w[a:b] if w is not None else buffer[:b - a]
+            _apply_kernel(np.divide(dist[a:b], bandwidth, out=block), p)
+            if exclude_diag:
+                on_diag = np.arange(a, min(b, m))
+                block[on_diag - a, on_diag] = 0.0
+            totals = block.sum(axis=1)
+            np.equal(totals, 0.0, out=empty[a:b])
+            idle = np.flatnonzero(empty[a:b])
+            if idle.size:
+                if policy == POLICY_FALLBACK:
+                    block[idle, _nearest(dist, a + idle, exclude_diag)] = 1.0
+                totals[idle] = 1.0
+            block /= totals[:, None]
+            if w is None:
+                smoothed[a:b] = block @ values
+
+    _blocks.run(smooth_rows, _blocks.split(n, _blocks.task_count(n * m), rows))
+    if policy == POLICY_ERROR and empty.any():
+        raise EmptyNeighborhoodError(
+            f"{int(empty.sum())} rows have no point within bandwidth {bandwidth}"
+        )
+    return (w if values is None else smoothed), empty
+
+
+def _nearest(dist: np.ndarray, rows: np.ndarray, exclude_diag: bool) -> np.ndarray:
+    """Column of the smallest distance in each of ``rows`` (the smallest
+    index on ties), skipping the diagonal with ``exclude_diag``."""
+    d = np.array(dist[rows], dtype=float)
+    if exclude_diag:
+        on_diag = rows < d.shape[1]
+        d[on_diag, rows[on_diag]] = np.inf
+    return np.argmin(d, axis=1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from . import _blocks
 from .curves import Curve, CurveSet, Grid, derivative_set
 
 SEMIMETRIC_KINDS = ("deriv_l2", "pca_projection")
@@ -148,14 +149,53 @@ def pairwise_from_features(
     Both blocks are scaled by sqrt(w) once, so each pair costs an
     unweighted Euclidean distance rather than a weighted one. Entries are computed
     directly from differences (no Gram expansion), so a curve's distance to
-    an identical one is exactly zero; with ``fb is fa`` each pair is
-    computed once and the matrix comes out exactly symmetric with a zero
-    diagonal.
+    an identical one is exactly zero. Row blocks of the output run on the
+    shared pool (see ``_blocks``); scipy computes each pair the same way in
+    any block, so the result does not depend on the split. With ``fb is fa``
+    each pair is computed once: a block of rows takes the pairs among its
+    rows (``pdist``) and with every later row (``cdist``) and writes them
+    with their transpose, so the matrix comes out exactly symmetric with a
+    zero diagonal.
     """
     sqrt_w = np.sqrt(w)
+    sa = fa * sqrt_w
+    n = len(sa)
     if fb is fa:
-        return squareform(pdist(fa * sqrt_w, "euclidean"))
-    return cdist(fa * sqrt_w, fb * sqrt_w, "euclidean")
+        bounds = _triangle_split(n, _blocks.task_count(n * n))
+        if len(bounds) == 1:  # inline: one pass, straight into the output
+            return squareform(pdist(sa, "euclidean"))
+        out = np.empty((n, n))
+
+        def upper(lo, hi):
+            # the pairs among the block's rows, then with every later row
+            out[lo:hi, lo:hi] = squareform(pdist(sa[lo:hi], "euclidean"))
+            rest = cdist(sa[lo:hi], sa[hi:], "euclidean")
+            out[lo:hi, hi:] = rest
+            out[hi:, lo:hi] = rest.T
+
+        _blocks.run(upper, bounds)
+        return out
+    sb = fb * sqrt_w
+    out = np.empty((n, len(sb)))
+
+    def rows(lo, hi):
+        cdist(sa[lo:hi], sb, "euclidean", out=out[lo:hi])
+
+    _blocks.run(rows, _blocks.split(n, _blocks.task_count(out.size)))
+    return out
+
+
+def _triangle_split(n: int, parts: int) -> list[tuple[int, int]]:
+    """Row ranges of an n x n matrix with about equal numbers of pairs
+    (i, j >= i) each: the first a rows hold a (n + 1/2) - a^2 / 2 of them."""
+    c = n + 0.5
+    cuts = [0]
+    for k in range(1, parts):
+        a = int(round(c - np.sqrt(c * c - k / parts * n * (n + 1))))
+        if cuts[-1] < a < n:
+            cuts.append(a)
+    cuts.append(n)
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def distance(spec: SemiMetricSpec, a: Curve, b: Curve) -> float:

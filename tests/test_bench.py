@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -353,15 +354,27 @@ def test_chemo_matches_manually_scripted_pipeline(tmp_path):
 
 
 def test_worker_count_is_capped_by_reps_and_cpus(monkeypatch):
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+    # the CPUs counted are the process's affinity mask, or every CPU on a
+    # platform without one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert bench.worker_count(1, 100) == 1
     assert bench.worker_count(3, 100) == 3
     assert bench.worker_count(64, 100) == 4
     assert bench.worker_count(64, 2) == 2
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert bench.worker_count(64, 100) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert bench.worker_count(8, 100) == 1
     with pytest.raises(ValueError):
         bench.worker_count(0, 5)
+
+
+def test_worker_count_counts_only_the_cpus_the_process_may_use(monkeypatch):
+    # pinned to one CPU of eight (taskset, cpuset)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert bench.worker_count(4, 10) == 1
 
 
 def test_run_experiment_starts_the_capped_pool(monkeypatch):
@@ -372,7 +385,7 @@ def test_run_experiment_starts_the_capped_pool(monkeypatch):
         started.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     monkeypatch.setattr(bench, "ThreadPoolExecutor", recording_pool)
     cfg = ExperimentConfig("ex1", n=12, n_reps=3, base_seed=4, grid_size=5)
     report = run_experiment(cfg, threads=64)

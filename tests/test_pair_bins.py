@@ -14,6 +14,7 @@ from funvar.estimators import (
     cv_bandwidth,
     default_bandwidth_grid,
     predict_variance_insample,
+    quantile_grid,
 )
 from funvar.kernels import KERNEL_KINDS, POLICY_ERROR, EmptyNeighborhoodError, weight_matrix
 from funvar.semimetric import SemiMetricSpec, distance_matrix
@@ -201,13 +202,14 @@ def test_in_place_weights_are_bit_identical_to_the_reference(kernel, exclude_dia
         want_w, want_fb = reference_weights(d, h, kernel, exclude_diag)
         assert_array_equal(w, want_w)
         assert_array_equal(fb, want_fb)
-    # wide; tall over several row blocks of about 32k entries; rows longer
-    # than a block; and a square matrix whose diagonal crosses every block
+    # wide; tall over three row blocks of about 128k entries (6896 rows);
+    # rows longer than a block; and a square matrix whose diagonal crosses
+    # every block (10 of 112 rows)
     queries, _ = random_set(33000, 45)
-    tall = distance_matrix(SPEC0, queries.subset(np.arange(3600)),
+    tall = distance_matrix(SPEC0, queries.subset(np.arange(20000)),
                            queries.subset(np.arange(19)))
     wide = distance_matrix(SPEC0, queries.subset([0, 1]), queries)
-    square = distance_matrix(SPEC0, queries.subset(np.arange(300)))
+    square = distance_matrix(SPEC0, queries.subset(np.arange(1100)))
     for other in (d[:5], tall, wide, square):
         for h in (hs[0], hs[4]):
             w, fb = weight_matrix(other, h, kernel, exclude_diag=exclude_diag)
@@ -217,7 +219,7 @@ def test_in_place_weights_are_bit_identical_to_the_reference(kernel, exclude_dia
     # fallback rows in the first and the last block of the tall matrix
     h = hs[4]
     _, want_fb = reference_weights(tall, h, kernel, exclude_diag)
-    assert want_fb[:1000].any() and want_fb[-1000:].any()
+    assert want_fb[:6896].any() and want_fb[13792:].any()
     with pytest.raises(EmptyNeighborhoodError, match=f"^{want_fb.sum()} rows "):
         weight_matrix(tall, h, kernel, POLICY_ERROR, exclude_diag)
 
@@ -233,6 +235,20 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():
         want = np.unique(np.quantile(off[off > 0], qs, method="inverted_cdf"))
         assert_array_equal(default_bandwidth_grid(d, size), want)
         assert_array_equal(TrainedMetric(SPEC0, cs).grid(size), want)
+
+
+def test_grid_picks_the_inverted_cdf_quantiles_of_numpy():
+    rng = np.random.default_rng(13)
+    sizes = [*range(1, 401), *rng.integers(401, 100_000, 8)]
+    for n in sizes:
+        # continuous values, and heavy ties among a few integers
+        for x in (rng.random(n), rng.integers(0, 4, n).astype(float)):
+            x[0] = 1.0  # at least one positive distance
+            pos = x[x > 0]
+            for size in (1, 2, 20, 300):
+                qs = np.array([1.0]) if size == 1 else np.linspace(0.05, 1.0, size)
+                want = np.unique(np.quantile(pos, qs, method="inverted_cdf"))
+                assert_array_equal(quantile_grid(x, size), want)
 
 
 def test_cv_with_a_given_dist_never_trains_the_spec():

@@ -8,9 +8,10 @@ Imports ``funvar`` from ``--src`` (default: this checkout's ``src/``), so the
 same script can time an older checkout. BLAS runs on one thread. For each
 n in ``SIZES`` it draws one ex2 dataset (seed 0, stream 0) and times
 ``run_replication`` on it ``REPEATS`` times (default grid of 20 candidates,
-quadratic kernel, both variance methods). The fastest replication is kept, with its time per
-layer. A layer's time is the time spent in these functions, found by
-identity in every ``funvar`` module and wrapped for the run:
+quadratic kernel, both variance methods). The fastest replication is kept,
+with its time per layer, and beside it each layer's median over the
+``REPEATS`` runs. A layer's time is the time spent in these functions,
+found by identity in every ``funvar`` module and wrapped for the run:
 
 * ``distances``: ``semimetric.pairwise_from_features``;
 * ``grid``: ``estimators.default_bandwidth_grid``;
@@ -25,12 +26,13 @@ It then times the CLI round trip ``funvar fit`` then ``funvar predict``
 in process, ``REPEATS`` times, on the sizes of the benchmark's
 ``cli_ex3_fit_predict`` workload (``CLI_TRAIN`` ex3 training curves,
 seed 0 stream 0; ``CLI_QUERIES`` query curves, stream 1; ``CLI_FIT_FLAGS``),
-and keeps the fastest round trip with the same layers; there
+and keeps the fastest round trip with the same layers and medians; there
 ``in_sample_fits`` also holds the smooths at the query curves, and
 ``other`` the CSV reading and writing.
 
-The output also records the machine (CPU model, core count, Python, numpy,
-scipy) and a digest of the package's source files.
+The output also records the machine (CPU model, core count, the threads
+that run the package's row blocks, Python, numpy, scipy) and a digest of
+the package's source files.
 """
 
 import argparse
@@ -41,6 +43,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -49,7 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # fixed, so that any two BENCH files compare
 SIZES = (200, 800, 2000)
-REPEATS = 3
+REPEATS = 7
 CLI_TRAIN = 500
 CLI_QUERIES = 5000
 CLI_FIT_FLAGS = ("--deriv-method", "bspline", "--order", "1", "--v-order", "0",
@@ -133,9 +136,15 @@ def machine() -> dict:
                        if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
+    try:  # the pool the row blocks run on; a package without one runs inline
+        from funvar._blocks import usable_cpus
+        row_block_threads = usable_cpus()
+    except ImportError:
+        row_block_threads = 1
     return {"cpu": cpu, "cpus": os.cpu_count(), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "blas_threads": 1}
+            "scipy": scipy.__version__, "blas_threads": 1,
+            "row_block_threads": row_block_threads}
 
 
 def source_digest(src: Path) -> str:
@@ -153,6 +162,12 @@ def layer_times(seconds: dict, missing: set, wall: float) -> dict:
         layers["cv_scores"] -= layers["binning"]
     layers["other"] = wall - sum(v for v in layers.values() if v is not None)
     return layers
+
+
+def median_layers(runs: list) -> dict:
+    """Each layer's median over the per-run layer times (null stays null)."""
+    return {k: None if runs[0][k] is None else statistics.median(r[k] for r in runs)
+            for k in runs[0]}
 
 
 def print_run(name: str, wall: float, layers: dict) -> None:
@@ -175,6 +190,7 @@ def cli_round_trip(cli, clock: LayerClock, missing: set) -> dict:
                 "--n", str(n), "--stream", str(stream), "--stem", stem)
         best = None
         walls = []
+        all_layers = []
         for _ in range(REPEATS):
             clock.reset()
             t0 = time.perf_counter()
@@ -186,14 +202,16 @@ def cli_round_trip(cli, clock: LayerClock, missing: set) -> dict:
                 "--curves", f"{tmp}/query_curves.csv", "--out", "predictions.csv")
             t2 = time.perf_counter()
             walls.append(t2 - t0)
+            all_layers.append(layer_times(clock.seconds, missing, t2 - t0))
             if best is None or t2 - t0 < best[0]:
-                best = (t2 - t0, t1 - t0, t2 - t1, dict(clock.seconds), dict(clock.calls))
-    wall, fit_s, predict_s, seconds, calls = best
-    layers = layer_times(seconds, missing, wall)
+                best = (t2 - t0, t1 - t0, t2 - t1, all_layers[-1], dict(clock.calls))
+    wall, fit_s, predict_s, layers, calls = best
     print_run("cli", wall, layers)
     return {"n_train": CLI_TRAIN, "queries": CLI_QUERIES, "fit_flags": list(CLI_FIT_FLAGS),
-            "round_trip_s": wall, "round_trip_s_all": walls, "fit_s": fit_s,
-            "predict_s": predict_s, "layers_s": layers, "calls": calls}
+            "round_trip_s": wall, "round_trip_s_all": walls,
+            "round_trip_s_median": statistics.median(walls), "fit_s": fit_s,
+            "predict_s": predict_s, "layers_s": layers,
+            "layers_s_median": median_layers(all_layers), "calls": calls}
 
 
 def main(argv=None) -> int:
@@ -214,19 +232,21 @@ def main(argv=None) -> int:
             ds = gen_dataset(SimSpec("ex2", n, 0, 0))
             best = None
             walls = []
+            all_layers = []
             for _ in range(REPEATS):
                 clock.reset()
                 t0 = time.perf_counter()
                 rec = run_replication(cfg, 0, dataset=ds)
                 wall = time.perf_counter() - t0
                 walls.append(wall)
+                all_layers.append(layer_times(clock.seconds, missing, wall))
                 if best is None or wall < best[0]:
-                    best = (wall, dict(clock.seconds), dict(clock.calls), rec)
-            wall, seconds, calls, rec = best
-            layers = layer_times(seconds, missing, wall)
+                    best = (wall, all_layers[-1], dict(clock.calls), rec)
+            wall, layers, calls, rec = best
             runs.append({"n": n, "replication_s": wall, "replication_s_all": walls,
-                         "layers_s": layers, "calls": calls,
-                         "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
+                         "replication_s_median": statistics.median(walls),
+                         "layers_s": layers, "layers_s_median": median_layers(all_layers),
+                         "calls": calls, "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
             print_run(f"n={n}", wall, layers)
         cli_run = cli_round_trip(cli, clock, missing)
     finally:
