@@ -1,24 +1,27 @@
 """Row blocks of the O(n^2) passes, run on one pool of threads.
 
-The pairwise distances and the kernel smooths split their rows into
-blocks, and each block writes its own slice of one preallocated output.
-The blocks call only numpy and scipy, whose large calls release the GIL,
-so on several CPUs the blocks of one pass run at once. The pool is made on
-first use, with one thread per usable CPU. A pass with fewer than
-``MIN_CELLS`` output cells, or any pass on a single CPU, runs inline:
-handing it to a thread would cost more than it saves.
+Every pass over a matrix of pairs (the distances, the kernel smooths, the
+binned sums of the bandwidth search) is cut here into row blocks of about
+``BLOCK_CELLS`` entries, each writing its own slice of one preallocated
+output. The blocks call only numpy and scipy, whose large calls release
+the GIL, so on several CPUs they run at once on a pool made on first use,
+one thread per usable CPU. A pass of fewer than ``MIN_CELLS`` entries, or
+any pass on a single CPU, runs inline. Block boundaries depend only on
+the shape of the pass, never on the number of threads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 MIN_CELLS = 1 << 18
-# tasks per usable CPU: a thread that finishes its block early takes another
-TASKS_PER_CPU = 8
+# 1 MB of float64: a block stays in cache, and its numpy calls are long
+# enough for blocks on two threads to overlap
+BLOCK_CELLS = 1 << 17
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -33,27 +36,35 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def task_count(cells: int) -> int:
-    """How many tasks a pass writing ``cells`` output cells is split into;
-    1 means the pass runs inline."""
-    cpus = usable_cpus()
-    return 1 if cells < MIN_CELLS or cpus == 1 else TASKS_PER_CPU * cpus
+def inline(cells: int) -> bool:
+    """Whether a pass over ``cells`` entries runs on the calling thread."""
+    return cells < MIN_CELLS or usable_cpus() == 1
 
 
-def split(n: int, parts: int, align: int = 1) -> list[tuple[int, int]]:
-    """``parts`` (or fewer) nonempty row ranges covering ``range(n)`` with
-    about equal numbers of rows, each starting at a multiple of ``align``."""
-    units = -(-n // align)
-    parts = max(1, min(parts, units))
-    cuts = [min(n, align * (units * i // parts)) for i in range(parts + 1)]
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+def row_blocks(n: int, m: int, align: int = 1) -> list[tuple[int, int]]:
+    """Row ranges covering ``range(n)`` in order, of about ``BLOCK_CELLS``
+    entries of an n x m pass each, starting at multiples of ``align``."""
+    rows = max(align, BLOCK_CELLS // max(m, 1) // align * align)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def run(fn: Callable[[int, int], None], bounds: Sequence[tuple[int, int]]) -> None:
-    """``fn(lo, hi)`` for each row range in ``bounds``: inline for a single
-    range, on the pool for more. Returns once every call has finished, and
-    raises the first error in ``bounds`` order."""
-    if len(bounds) <= 1:
+def triangle_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges covering ``range(n)`` in order, each with about
+    ``BLOCK_CELLS`` of the pairs (i, j >= i) of an n x n matrix, in equal
+    numbers: the first a rows hold a (n + 1/2) - a^2 / 2 of them."""
+    c, pairs = n + 0.5, n * (n + 1) / 2
+    parts = max(1, math.ceil(pairs / BLOCK_CELLS))
+    cuts = sorted({0, n, *(round(c - math.sqrt(c * c - 2 * pairs * k / parts))
+                           for k in range(1, parts))})
+    return list(zip(cuts, cuts[1:]))
+
+
+def run(fn: Callable[[int, int], None], bounds: Sequence[tuple[int, int]],
+        cells: int) -> None:
+    """``fn(lo, hi)`` for each row range in ``bounds`` of a pass over
+    ``cells`` entries, inline or on the pool as :func:`inline` says; raises
+    the first error in ``bounds`` order once every call has finished."""
+    if len(bounds) <= 1 or inline(cells):
         for lo, hi in bounds:
             fn(lo, hi)
         return

@@ -15,8 +15,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.spatial.distance import squareform
 
+from . import _blocks
 from .curves import Curve, CurveSet
-from .kernels import POLICY_FALLBACK, kernel_power, weight_matrix
+from .kernels import POLICY_FALLBACK, _nearest, kernel_power, weight_matrix
 from .semimetric import (
     SemiMetricSpec,
     feature_matrix,
@@ -483,26 +484,26 @@ class PairBins:
         n, k = len(dist), hs.size
         self.bins = np.empty((n, n), np.min_scalar_type(k))
         # the bin is k minus the number of bandwidths the pair counts for,
-        # one comparison pass per bandwidth over cache-sized row blocks (at
-        # n = 2000 and 20 bandwidths, 6x faster than a binary search per pair)
+        # one comparison pass per bandwidth over each row block (at n = 2000
+        # and 20 bandwidths, 6x faster than a binary search per pair)
         counts = np.less if self.p else np.less_equal
-        self.bins.fill(k)
-        rows = max(1, (1 << 16) // n)
-        for lo in range(0, n, rows):
-            d = dist[lo:lo + rows]
+
+        def bin_rows(lo, hi):
+            bins = self.bins[lo:hi]
+            bins.fill(k)
             for h in hs:
-                self.bins[lo:lo + rows] -= counts(d, h)
+                bins -= counts(dist[lo:hi], h)
+
+        _blocks.run(bin_rows, _blocks.row_blocks(n, n), n * n)
         np.fill_diagonal(self.bins, k)  # the last bin counts for no bandwidth
         count, count_p = self._sums(None)
         self.empty = count == 0
         self.den = self._kernel_sums(count, count_p)
         self.fallback_rates = self.empty.sum(axis=0) / n
         # rows empty at some bandwidth are empty at the smallest one; they
-        # predict from their nearest other point (smallest index on ties)
+        # predict from their nearest other point, as weight_matrix does
         self.fb_rows = np.flatnonzero(self.empty[:, 0])
-        others = dist[self.fb_rows]
-        others[np.arange(self.fb_rows.size), self.fb_rows] = np.inf
-        self.nearest = np.argmin(others, axis=1)
+        self.nearest = _nearest(dist, self.fb_rows, exclude_diag=True)
 
     def _sums(self, y) -> tuple[np.ndarray, np.ndarray | None]:
         """Per row and bandwidth, the sums of y_j (1 when None) and of
@@ -510,21 +511,23 @@ class PairBins:
         n, k = len(self.bins), self.hs.size
         plain = np.empty((n, k))
         powered = np.empty((n, k)) if self.p else None
-        rows = max(1, (1 << 19) // n)
-        for lo in range(0, n, rows):
-            bins = self.bins[lo:lo + rows]
-            b = len(bins)
+
+        def sum_rows(lo, hi):
+            bins = self.bins[lo:hi]
+            b = hi - lo
             keys = (np.arange(b)[:, None] * (k + 1) + bins).ravel()
 
             def cumulate(w, out):
                 m = np.bincount(keys, w, minlength=b * (k + 1)).reshape(b, k + 1)
-                np.cumsum(m[:, :k], axis=1, out=out[lo:lo + b])
+                np.cumsum(m[:, :k], axis=1, out=out[lo:hi])
 
             yy = None if y is None else np.broadcast_to(y, bins.shape)
             cumulate(None if y is None else yy.ravel(), plain)
             if self.p:
-                dp = self.dist[lo:lo + b] ** self.p
+                dp = self.dist[lo:hi] ** self.p
                 cumulate((dp if y is None else dp * yy).ravel(), powered)
+
+        _blocks.run(sum_rows, _blocks.row_blocks(n, n), n * n)
         return plain, powered
 
     def _kernel_sums(self, plain: np.ndarray, powered) -> np.ndarray:
@@ -547,12 +550,16 @@ def default_bandwidth_grid(dist: np.ndarray, size: int = 20) -> np.ndarray:
     """Candidate bandwidths at quantiles of the positive pairwise distances.
 
     See :func:`quantile_grid`; the distances are read once per pair, from
-    the upper triangle of the symmetric self-distance matrix.
+    the upper triangle of the self-distance matrix, into one sorted copy.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("expected a square self-distance matrix")
-    return quantile_grid(squareform(d, checks=False), size)
+    pairs = squareform(d, checks=False)
+    pairs.sort()  # NaNs last, as np.sort puts them
+    positive = pairs[np.searchsorted(pairs, 0.0, side="right"):
+                     np.searchsorted(pairs, np.nan)]
+    return _quantiles(positive, size)
 
 
 def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
@@ -562,16 +569,19 @@ def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
     ``size`` 1); duplicate candidates collapse, so the grid may be shorter
     than requested.
     """
+    positive = distances[distances > 0]
+    positive.sort()
+    return _quantiles(positive, size)
+
+
+def _quantiles(positive: np.ndarray, size: int) -> np.ndarray:
+    """The grid of :func:`quantile_grid` from the sorted positive distances:
+    the inverted-CDF quantile at level q is the element at n q - 1 rounded
+    up (and at least 0), as np.quantile(..., method="inverted_cdf") picks it."""
     if size < 1:
         raise ValueError("grid size must be positive")
-    pos = distances[distances > 0]
-    if pos.size == 0:
+    if positive.size == 0:
         raise ValueError("no positive distance to build a grid from")
     qs = np.array([1.0]) if size == 1 else np.linspace(0.05, 1.0, size)
-    # pos is a fresh copy, so it may be sorted in place; the inverted-CDF
-    # quantile at level q is then the element at n q - 1, rounded up to an
-    # index (and at least 0), as np.quantile(..., method="inverted_cdf")
-    # picks it, without the selection np.quantile would make again
-    pos.sort()
-    at = np.maximum(np.ceil(pos.size * qs - 1), 0).astype(np.intp)
-    return np.unique(pos[at])
+    at = np.maximum(np.ceil(positive.size * qs - 1), 0).astype(np.intp)
+    return np.unique(positive[at])

@@ -121,45 +121,35 @@ def weight_matrix(
         values = np.asarray(values, dtype=float)
         if values.shape != (m,):
             raise ValueError(f"{values.shape} values for {m} columns")
-    # row blocks of about 128k entries (1 MB): d / h, K, the row totals, the
-    # fallback and the normalization (and the product with the values) all
-    # run while the block is in cache, and each numpy call is long enough
-    # for blocks on two threads to overlap. Blocks start at multiples of 8
-    # rows: BLAS takes the rows of a matrix-vector product in groups, and
-    # aligned blocks keep every row in the same kind of group as in the
-    # whole-matrix product, so each row's sum is taken in the same order
-    rows = max(8, (1 << 17) // max(m, 1) // 8 * 8)
-    w = np.empty((n, m)) if values is None else None
-    smoothed = np.empty(n) if values is not None else None
+    # a block runs every step below while in cache; blocks start at multiples
+    # of 8 rows, so that BLAS, which takes the rows of a matrix-vector product
+    # in groups, sums each row in the same order as the whole-matrix product
+    out = np.empty((n, m) if values is None else n)
     empty = np.empty(n, dtype=bool)
 
     def smooth_rows(lo, hi):
-        # a smooth reuses one block-sized buffer; the weights stay in place
-        buffer = np.empty((min(rows, hi - lo), m)) if w is None else None
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            block = w[a:b] if w is not None else buffer[:b - a]
-            _apply_kernel(np.divide(dist[a:b], bandwidth, out=block), p)
-            if exclude_diag:
-                on_diag = np.arange(a, min(b, m))
-                block[on_diag - a, on_diag] = 0.0
-            totals = block.sum(axis=1)
-            np.equal(totals, 0.0, out=empty[a:b])
-            idle = np.flatnonzero(empty[a:b])
-            if idle.size:
-                if policy == POLICY_FALLBACK:
-                    block[idle, _nearest(dist, a + idle, exclude_diag)] = 1.0
-                totals[idle] = 1.0
-            block /= totals[:, None]
-            if w is None:
-                smoothed[a:b] = block @ values
+        block = out[lo:hi] if values is None else np.empty((hi - lo, m))
+        _apply_kernel(np.divide(dist[lo:hi], bandwidth, out=block), p)
+        if exclude_diag:
+            on_diag = np.arange(lo, min(hi, m))
+            block[on_diag - lo, on_diag] = 0.0
+        totals = block.sum(axis=1)
+        np.equal(totals, 0.0, out=empty[lo:hi])
+        idle = np.flatnonzero(empty[lo:hi])
+        if idle.size:
+            if policy == POLICY_FALLBACK:
+                block[idle, _nearest(dist, lo + idle, exclude_diag)] = 1.0
+            totals[idle] = 1.0
+        block /= totals[:, None]
+        if values is not None:
+            out[lo:hi] = block @ values
 
-    _blocks.run(smooth_rows, _blocks.split(n, _blocks.task_count(n * m), rows))
+    _blocks.run(smooth_rows, _blocks.row_blocks(n, m, align=8), n * m)
     if policy == POLICY_ERROR and empty.any():
         raise EmptyNeighborhoodError(
             f"{int(empty.sum())} rows have no point within bandwidth {bandwidth}"
         )
-    return (w if values is None else smoothed), empty
+    return out, empty
 
 
 def _nearest(dist: np.ndarray, rows: np.ndarray, exclude_diag: bool) -> np.ndarray:

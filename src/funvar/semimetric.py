@@ -112,7 +112,9 @@ def train_projection(spec: SemiMetricSpec, train: CurveSet) -> SemiMetricSpec:
         raise ValueError(f"projection dim {spec.dim} exceeds rank bound {min(n, t)}")
     sqrt_w = np.sqrt(train.grid.trapezoid_weights)
     xw = train.values * sqrt_w
-    moment = (xw.T @ xw) / n
+    # einsum rather than the BLAS product xw.T @ xw, whose summation order
+    # (and so the basis, to the last bits) follows the BLAS thread count
+    moment = np.einsum("ij,ik->jk", xw, xw) / n
     evals, evecs = np.linalg.eigh(moment)
     top = evecs[:, np.argsort(evals)[::-1][: spec.dim]]
     # deterministic sign: largest-magnitude entry of each component positive
@@ -161,8 +163,7 @@ def pairwise_from_features(
     sa = fa * sqrt_w
     n = len(sa)
     if fb is fa:
-        bounds = _triangle_split(n, _blocks.task_count(n * n))
-        if len(bounds) == 1:  # inline: one pass, straight into the output
+        if _blocks.inline(n * n):  # one pass, straight into the output
             return squareform(pdist(sa, "euclidean"))
         out = np.empty((n, n))
 
@@ -173,7 +174,7 @@ def pairwise_from_features(
             out[lo:hi, hi:] = rest
             out[hi:, lo:hi] = rest.T
 
-        _blocks.run(upper, bounds)
+        _blocks.run(upper, _blocks.triangle_blocks(n), n * n)
         return out
     sb = fb * sqrt_w
     out = np.empty((n, len(sb)))
@@ -181,21 +182,8 @@ def pairwise_from_features(
     def rows(lo, hi):
         cdist(sa[lo:hi], sb, "euclidean", out=out[lo:hi])
 
-    _blocks.run(rows, _blocks.split(n, _blocks.task_count(out.size)))
+    _blocks.run(rows, _blocks.row_blocks(n, len(sb)), out.size)
     return out
-
-
-def _triangle_split(n: int, parts: int) -> list[tuple[int, int]]:
-    """Row ranges of an n x n matrix with about equal numbers of pairs
-    (i, j >= i) each: the first a rows hold a (n + 1/2) - a^2 / 2 of them."""
-    c = n + 0.5
-    cuts = [0]
-    for k in range(1, parts):
-        a = int(round(c - np.sqrt(c * c - k / parts * n * (n + 1))))
-        if cuts[-1] < a < n:
-            cuts.append(a)
-    cuts.append(n)
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def distance(spec: SemiMetricSpec, a: Curve, b: Curve) -> float:

@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import funvar
 import funvar.bench as bench
 import funvar.cli as cli
 import funvar.estimators as estimators
+from funvar._blocks import usable_cpus
 from funvar.cli import main, parse_args
 from funvar.curves import read_curves_csv, read_responses_csv
 from funvar.estimators import (
@@ -326,3 +332,27 @@ def test_inputs_are_never_modified(tmp_path):
                "--responses", resp_f, "--grid-size", 6) == 0
     after = (open(curves_f, "rb").read(), open(resp_f, "rb").read())
     assert before == after
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_pca_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
+    for stem, n, stream in (("train", 700, 0), ("query", 1500, 1)):
+        assert run("--seed", 21, "--output-dir", tmp_path, "simulate", "--example", "ex2",
+                   "--n", n, "--stream", stream, "--stem", stem) == 0
+    src = str(Path(funvar.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        for argv in (
+            ["fit", "--curves", tmp_path / "train_curves.csv",
+             "--responses", tmp_path / "train_responses.csv",
+             "--semimetric", "pca_projection", "--dim", 3, "--method", "direct"],
+            ["predict", "--model", out / "model.json", "--curves", tmp_path / "query_curves.csv"],
+        ):
+            subprocess.run([sys.executable, "-m", "funvar.cli", "--output-dir", str(out),
+                            *map(str, argv)], env=env, check=True, capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["model.json", "predictions.csv"]
+    assert outputs[0] == outputs[1]

@@ -4,6 +4,7 @@ basis, in-place kernel weights, and the grid read from each pair once."""
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from scipy.spatial.distance import squareform
 
 import funvar.estimators as estimators
 from funvar.bench import ExperimentConfig, fit_pipeline, run_replication
@@ -235,6 +236,26 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():
         want = np.unique(np.quantile(off[off > 0], qs, method="inverted_cdf"))
         assert_array_equal(default_bandwidth_grid(d, size), want)
         assert_array_equal(TrainedMetric(SPEC0, cs).grid(size), want)
+    # matrices that no distance gives: zeros, -0.0 and negatives (left out),
+    # ties, inf (kept) and NaN (left out), in and out of the upper triangle
+    for n, size in ((2, 1), (9, 4), (40, 20), (61, 300)):
+        for _ in range(5):
+            d = rng.integers(-2, 5, size=(n, n)).astype(float)
+            special = rng.random((n, n))
+            d[special < 0.1] = np.nan
+            d[special > 0.9] = np.inf
+            d[(0.45 < special) & (special < 0.5)] = -0.0
+            d[(0.5 < special) & (special < 0.55)] = -np.inf
+            upper = squareform(d, checks=False)
+            if not (upper > 0).any():
+                with pytest.raises(ValueError, match="no positive distance"):
+                    default_bandwidth_grid(d, size)
+                continue
+            assert_array_equal(default_bandwidth_grid(d, size), quantile_grid(upper, size))
+    d = np.zeros((4, 4))
+    d[0, 1] = d[2, 3] = np.nan
+    with pytest.raises(ValueError, match="no positive distance"):
+        default_bandwidth_grid(d, 3)
 
 
 def test_grid_picks_the_inverted_cdf_quantiles_of_numpy():

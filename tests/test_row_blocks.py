@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 import funvar._blocks as blocks
 from funvar.bench import ExperimentConfig, run_experiment, serialize_report
 from funvar.curves import CurveSet, uniform_grid
-from funvar.estimators import TrainedMetric, default_bandwidth_grid
+from funvar.estimators import PairBins, TrainedMetric, default_bandwidth_grid
 from funvar.kernels import (
     KERNEL_KINDS,
     POLICY_ERROR,
@@ -127,29 +127,62 @@ def test_distances_above_the_threshold_are_the_whole_matrix_ones(ex2, monkeypatc
 
 
 def test_a_pass_below_the_threshold_runs_inline(monkeypatch):
-    calls = []
-    monkeypatch.setattr(blocks, "run", lambda fn, bounds: calls.append(len(bounds)))
     two_workers(monkeypatch)
-    assert blocks.task_count(blocks.MIN_CELLS - 1) == 1
-    assert blocks.task_count(blocks.MIN_CELLS) > 1
-    f = np.zeros((511, 3))
-    pairwise_from_features(f, f, np.ones(3))  # one pdist, no blocks at all
-    pairwise_from_features(f, f[:2], np.ones(3))
-    weight_matrix(np.zeros((511, 511)), 1.0)
-    assert calls == [1, 1]
-    pairwise_from_features(np.zeros((512, 3)), np.zeros((512, 3)), np.ones(3))
-    assert calls[-1] > 1
+    here = threading.current_thread()
+
+    def threads(cells):
+        seen = []
+        blocks.run(lambda lo, hi: seen.append(threading.current_thread()),
+                   [(0, 1), (1, 2), (2, 3)], cells)
+        assert len(seen) == 3
+        return set(seen)
+
+    assert blocks.inline(blocks.MIN_CELLS - 1) and not blocks.inline(blocks.MIN_CELLS)
+    assert threads(blocks.MIN_CELLS - 1) == {here}
+    assert here not in threads(blocks.MIN_CELLS)
+    one_worker(monkeypatch)
+    assert blocks.inline(blocks.MIN_CELLS) and threads(blocks.MIN_CELLS) == {here}
+    # no pass of the package below the threshold hands a block to the pool
+    two_workers(monkeypatch)
+    pool = blocks._shared_pool
+    monkeypatch.setattr(blocks, "_shared_pool", lambda: pytest.fail("pool used"))
+    f = np.random.default_rng(86).standard_normal((512, 3))
+    g = f[:511]
+    d = pairwise_from_features(g, g, np.ones(3))  # one pdist, no blocks at all
+    assert_array_equal(d, squareform(pdist(g)))
+    assert_array_equal(pairwise_from_features(g, f[:2], np.ones(3)), cdist(g, f[:2]))
+    weight_matrix(d, 1.0, values=np.ones(511))
+    PairBins(d, np.array([0.5, 1.0]), "quadratic").loo_fits(np.ones(511))
+    # and one at the threshold does
+    used = []
+    monkeypatch.setattr(blocks, "_shared_pool", lambda: used.append(1) or pool())
+    assert_array_equal(pairwise_from_features(f, f, np.ones(3)), squareform(pdist(f)))
+    assert used
 
 
-def test_split_covers_the_rows_in_aligned_ranges():
-    assert blocks.split(0, 4) == []
-    assert blocks.split(5, 8) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    for n, parts, align in ((2000, 16, 16), (777, 16, 40), (7, 3, 8), (3600, 5, 1720)):
-        bounds = blocks.split(n, parts, align)
+def test_row_blocks_cover_the_rows_in_aligned_ranges():
+    assert blocks.row_blocks(0, 9) == [] and blocks.triangle_blocks(0) == []
+    assert blocks.row_blocks(5, 1 << 20) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    assert blocks.row_blocks(5, 0) == [(0, 5)]
+    for n, m, align in ((2000, 2000, 8), (777, 333, 8), (7, 1 << 20, 8), (20000, 19, 8),
+                        (3600, 5, 1720), (1500, 2000, 1)):
+        bounds = blocks.row_blocks(n, m, align)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
         assert all(lo % align == 0 and lo < hi for lo, hi in bounds)
-        assert len(bounds) <= parts
+        # about BLOCK_CELLS entries a block, or one aligned group of rows
+        rows = bounds[0][1]
+        assert rows == n or rows == align or rows * m <= blocks.BLOCK_CELLS < (rows + align) * m
+    assert blocks.row_blocks(20000, 19, 8)[:2] == [(0, 6896), (6896, 13792)]
+    for n in (1, 2, 511, 512, 600, 2000, 5000):
+        bounds = blocks.triangle_blocks(n)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        pairs = [sum(n - i for i in range(lo, hi)) for lo, hi in bounds]
+        assert sum(pairs) == n * (n + 1) // 2
+        assert len(bounds) == -(-sum(pairs) // blocks.BLOCK_CELLS)
+        # equal shares of the pairs, to within one row
+        assert max(pairs) - min(pairs) <= 2 * n
 
 
 def test_one_worker_gives_the_same_bytes(ex2, monkeypatch):
@@ -166,14 +199,19 @@ def test_one_worker_gives_the_same_bytes(ex2, monkeypatch):
         smooth = [weight_matrix(d, h, kernel, exclude_diag=exclude_diag, values=ds.y)
                   for kernel in KERNEL_KINDS for exclude_diag in (False, True)]
         weights = weight_matrix(cross, h)[0]
-        results.append((d, cross, smooth, weights, serialize_report(run_experiment(cfg))))
-    (d2, cross2, smooth2, w2, report2), (d1, cross1, smooth1, w1, report1) = results
+        bins = PairBins(metric.dist, metric.grid(20), "quadratic")
+        bins = (bins.bins, bins.den, bins.fallback_rates, bins.loo_fits(ds.y))
+        results.append((d, cross, smooth, weights, bins,
+                        serialize_report(run_experiment(cfg))))
+    (d2, cross2, smooth2, w2, bins2, report2), (d1, cross1, smooth1, w1, bins1, report1) = results
     assert_array_equal(d2, d1)
     assert_array_equal(cross2, cross1)
     for (v2, fb2), (v1, fb1) in zip(smooth2, smooth1):
         assert_array_equal(v2, v1)
         assert_array_equal(fb2, fb1)
     assert_array_equal(w2, w1)
+    for a2, a1 in zip(bins2, bins1):
+        assert_array_equal(a2, a1)
     assert report2 == report1
 
 
