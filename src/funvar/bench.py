@@ -15,13 +15,15 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._blocks import usable_cpus
 from .curves import CurveSet, read_curves_csv, read_responses_csv
 from .estimators import (
+    SELF_INCLUSION_MODES,
+    VARIANCE_METHODS,
     BandwidthSelectionError,
     CvResult,
     MeanFit,
@@ -38,8 +40,6 @@ from .estimators import (
 from .kernels import KERNEL_KINDS, POLICY_FALLBACK
 from .semimetric import SemiMetricSpec
 from .simulate import DESIGNS, SimSpec, SimulatedDataset, gen_dataset
-
-METHODS = ("residual", "direct")
 
 
 class ExperimentAbortError(RuntimeError):
@@ -64,7 +64,7 @@ class ExperimentConfig:
     kernel: str = "quadratic"
     grid_size: int = 20
     self_inclusion: str = "include_self"
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] = VARIANCE_METHODS
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -77,7 +77,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.grid_size < 1:
             raise ValueError("bandwidth grid size must be positive")
-        bad = [m for m in self.methods if m not in METHODS]
+        if self.self_inclusion not in SELF_INCLUSION_MODES:
+            raise ValueError(f"unknown self-inclusion mode {self.self_inclusion!r}")
+        bad = [m for m in self.methods if m not in VARIANCE_METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
         if len(set(self.methods)) != len(self.methods):
@@ -113,16 +115,7 @@ class ReplicationRecord:
     clips: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "rep": self.rep,
-            "failed": self.failed,
-            "error": self.error,
-            "h_m": self.h_m,
-            "h_v": dict(self.h_v),
-            "mse": dict(self.mse),
-            "fallbacks": dict(self.fallbacks),
-            "clips": dict(self.clips),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -411,18 +404,7 @@ class ChemoConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "curves_file": self.curves_file,
-            "responses_file": self.responses_file,
-            "train_size": self.train_size,
-            "mean_order": self.mean_order,
-            "candidate_orders": list(self.candidate_orders),
-            "deriv_method": self.deriv_method,
-            "knots": self.knots,
-            "degree": self.degree,
-            "kernel": self.kernel,
-            "grid_size": self.grid_size,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

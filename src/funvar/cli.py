@@ -40,6 +40,8 @@ from .curves import (
     write_responses_csv,
 )
 from .estimators import (
+    SELF_INCLUSION_MODES,
+    VARIANCE_METHODS,
     BandwidthSelectionError,
     TrainedMetric,
     predict_mean_set,
@@ -53,7 +55,7 @@ from .kernels import (
     WEIGHT_POLICIES,
     EmptyNeighborhoodError,
 )
-from .semimetric import SEMIMETRIC_KINDS, SemiMetricSpec
+from .semimetric import DERIV_METHODS, SEMIMETRIC_KINDS, SemiMetricSpec
 from .simulate import DESIGNS, SimSpec, gen_dataset
 
 EXIT_OK = 0
@@ -148,8 +150,7 @@ def _add_semimetric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--semimetric", choices=SEMIMETRIC_KINDS, default="deriv_l2")
     p.add_argument("--order", type=int, default=None,
                    help="derivative order for the deriv_l2 semi-metric (default 0)")
-    p.add_argument("--deriv-method", choices=("finite_diff", "bspline"),
-                   default="finite_diff")
+    p.add_argument("--deriv-method", choices=DERIV_METHODS, default="finite_diff")
     p.add_argument("--knots", type=int, default=20)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--dim", type=int, default=1,
@@ -188,10 +189,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="variance-stage derivative order (default: --order)")
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
     p.add_argument("--policy", choices=WEIGHT_POLICIES, default=POLICY_FALLBACK)
-    p.add_argument("--self-inclusion",
-                   choices=("include_self", "leave_one_out"),
+    p.add_argument("--self-inclusion", choices=SELF_INCLUSION_MODES,
                    default="include_self")
-    p.add_argument("--method", choices=("residual", "direct"), default="residual",
+    p.add_argument("--method", choices=VARIANCE_METHODS, default="residual",
                    help="variance estimation method")
     p.add_argument("--h-m", type=float, default=None,
                    help="mean bandwidth (default: cross-validated)")
@@ -213,11 +213,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--order", type=int, default=None,
                    help="override the per-example semi-metric derivative order")
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
-    p.add_argument("--self-inclusion",
-                   choices=("include_self", "leave_one_out"),
+    p.add_argument("--self-inclusion", choices=SELF_INCLUSION_MODES,
                    default="include_self")
-    p.add_argument("--methods", default="residual,direct",
-                   help="comma-separated subset of residual,direct")
+    p.add_argument("--methods", default=",".join(VARIANCE_METHODS),
+                   help=f"comma-separated subset of {','.join(VARIANCE_METHODS)}")
     p.add_argument("--grid-size", type=int, default=20)
     p.add_argument("--out", default="report.json")
 
@@ -228,8 +227,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--mean-order", type=int, default=2)
     p.add_argument("--orders", default="0,1,2",
                    help="comma-separated candidate variance-stage orders")
-    p.add_argument("--deriv-method", choices=("finite_diff", "bspline"),
-                   default="bspline")
+    p.add_argument("--deriv-method", choices=DERIV_METHODS, default="bspline")
     p.add_argument("--knots", type=int, default=20)
     p.add_argument("--degree", type=int, default=5)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")

@@ -43,24 +43,60 @@ class Prediction(NamedTuple):
 class TrainedMetric:
     """Training curves under one trained semi-metric.
 
-    An untrained projection spec is trained on ``train``. The features, the
-    self-distance matrix, each default bandwidth grid and the :class:`PairBins`
-    of each (kernel, candidate grid) are computed once, on first use; ``dist``
-    may supply the self-distance matrix instead.
+    An untrained projection spec is trained on ``train`` when the spec or
+    the features are first needed, so given distances never train it. The
+    features, the self-distance matrix, each default bandwidth grid and the
+    :class:`PairBins` of each (kernel, candidate grid) are computed once, on
+    first use; ``dist`` may supply the n x n self-distance matrix instead.
     """
 
     # plain lazy attributes rather than functools.cached_property, whose
     # lock (Python < 3.12) is shared by all instances and would serialize
     # replications running in threads
     def __init__(self, spec: SemiMetricSpec, train: CurveSet, dist=None):
-        self.spec = spec if spec.trained else train_projection(spec, train)
+        if dist is not None:
+            dist = np.asarray(dist, dtype=float)
+            if dist.shape != (len(train), len(train)):
+                raise ValueError("expected the self-distance matrix of the training curves")
+        self._spec = spec
         self.train = train
-        self.weights = feature_weights(self.spec, train.grid)
+        self.weights = feature_weights(spec, train.grid)
         self._features = None
         self._dist = dist
         self._grids: dict[int, np.ndarray] = {}
         self._bins: dict[tuple, PairBins] = {}
         self._others: list[TrainedMetric] = []
+
+    @classmethod
+    def of(cls, spec: SemiMetricSpec | TrainedMetric, train: CurveSet,
+           dist: np.ndarray | None = None,
+           near: TrainedMetric | None = None) -> TrainedMetric:
+        """The metric an estimator on ``train`` runs on.
+
+        A TrainedMetric ``spec`` is that metric; it must be on the curves
+        ``train`` and come without a ``dist`` (ValueError otherwise). A plain
+        spec runs on ``dist`` when given, else on ``near.for_spec(spec)``
+        when a metric ``near`` on the same curves is given to share, else on
+        a new metric.
+        """
+        if isinstance(spec, TrainedMetric):
+            if dist is not None:
+                raise ValueError("a TrainedMetric carries its own distances; drop dist")
+            if spec.train is not train and not (
+                spec.train.grid == train.grid
+                and np.array_equal(spec.train.values, train.values)
+            ):
+                raise ValueError("the TrainedMetric is on other training curves")
+            return spec
+        if dist is None and near is not None:
+            return near.for_spec(spec)
+        return cls(spec, train, dist)
+
+    @property
+    def spec(self) -> SemiMetricSpec:
+        if not self._spec.trained:
+            self._spec = train_projection(self._spec, self.train)
+        return self._spec
 
     @property
     def features(self) -> np.ndarray:
@@ -119,18 +155,6 @@ class TrainedMetric:
         self._others.append(TrainedMetric(spec, self.train))
         return self._others[-1]
 
-    def check(self, train: CurveSet, dist) -> TrainedMetric:
-        """This metric, once sure that it is on the curves ``train`` and that
-        no separate ``dist`` came with it; ValueError otherwise."""
-        if dist is not None:
-            raise ValueError("a TrainedMetric carries its own distances; drop dist")
-        if self.train is not train and not (
-            self.train.grid == train.grid
-            and np.array_equal(self.train.values, train.values)
-        ):
-            raise ValueError("the TrainedMetric is on other training curves")
-        return self
-
 
 def _smooth(
     fit, dist: np.ndarray, values: np.ndarray, exclude_diag: bool = False
@@ -179,11 +203,10 @@ def fit_mean(
 ) -> MeanFit:
     """Freeze a Nadaraya-Watson mean fit.
 
-    ``spec`` may be a :class:`TrainedMetric` on ``train``, whose cached
-    features and distances the fit then shares; or, with a plain spec,
-    ``dist`` may pass in a precomputed self-distance matrix under ``spec``
-    (e.g. shared with bandwidth selection). A TrainedMetric on other curves,
-    or with a ``dist`` beside it, raises ValueError.
+    ``spec`` and ``dist`` give the metric as :meth:`TrainedMetric.of` does:
+    a :class:`TrainedMetric` on ``train``, whose cached features and
+    distances the fit then shares, or a plain spec with, optionally, its
+    precomputed self-distance matrix (e.g. shared with bandwidth selection).
     """
     y = np.asarray(y, dtype=float)
     n = len(train)
@@ -195,9 +218,8 @@ def fit_mean(
         raise ValueError("responses must be finite")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    metric = (spec.check(train, dist) if isinstance(spec, TrainedMetric)
-              else TrainedMetric(spec, train, dist))
-    return MeanFit(metric, y, kernel, float(bandwidth), policy)
+    return MeanFit(TrainedMetric.of(spec, train, dist), y, kernel, float(bandwidth),
+                   policy)
 
 
 def predict_mean(fit: MeanFit, x: Curve) -> Prediction:
@@ -263,7 +285,6 @@ class VarianceFit:
     policy: str
     self_inclusion: str
     pseudo: np.ndarray = field(repr=False)
-    residual_fallbacks: int
 
     @property
     def train(self) -> CurveSet:
@@ -290,11 +311,9 @@ def fit_variance(
     Pseudo-responses default to squared residuals of ``mean_fit``
     (residual method) or squared responses (direct method);
     ``pseudo_responses`` overrides them, e.g. with squared errors around a
-    known mean function. The fit shares the mean fit's distances when
-    ``spec`` has the same trained basis; ``spec`` may also be a
-    :class:`TrainedMetric` on the training curves (ValueError on other
-    curves or with a ``dist``), and ``dist`` a precomputed self-distance
-    matrix under a plain ``spec``.
+    known mean function. ``spec`` and ``dist`` give the metric as
+    :meth:`TrainedMetric.of` does; without a ``dist``, a plain ``spec`` with
+    the mean fit's trained basis shares the mean fit's distances.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown variance method {method!r}")
@@ -302,26 +321,17 @@ def fit_variance(
         raise ValueError("bandwidth must be positive")
     kernel = mean_fit.kernel if kernel is None else kernel
     policy = mean_fit.policy if policy is None else policy
-    residual_fallbacks = 0
-    if pseudo_responses is not None:
-        pseudo = np.asarray(pseudo_responses, dtype=float)
-        if pseudo.shape != mean_fit.y.shape:
-            raise ValueError("pseudo-responses must align with the responses")
-    elif method == "residual":
-        pseudo, fb = squared_residuals(mean_fit, self_inclusion)
-        residual_fallbacks = int(fb.sum())
-    else:
-        pseudo = mean_fit.y**2
+    pseudo = np.asarray(
+        pseudo_responses if pseudo_responses is not None
+        else squared_residuals(mean_fit, self_inclusion)[0] if method == "residual"
+        else mean_fit.y**2, dtype=float)
+    if pseudo.shape != mean_fit.y.shape:
+        raise ValueError("pseudo-responses must align with the responses")
     if method == "residual" and np.any(pseudo < 0):
         raise ValueError("residual pseudo-responses must be nonnegative")
-    if isinstance(spec, TrainedMetric):
-        metric = spec.check(mean_fit.train, dist)
-    elif dist is None:
-        metric = mean_fit.metric.for_spec(spec)
-    else:
-        metric = TrainedMetric(spec, mean_fit.train, dist)
+    metric = TrainedMetric.of(spec, mean_fit.train, dist, near=mean_fit.metric)
     return VarianceFit(method, mean_fit, metric, kernel, float(bandwidth), policy,
-                       self_inclusion, pseudo, residual_fallbacks)
+                       self_inclusion, pseudo)
 
 
 def _variance_at(
@@ -422,10 +432,9 @@ def cv_bandwidth(
     every response from all other points. Candidates whose nearest-neighbor
     fallback rate exceeds ``fallback_threshold`` are disqualified; the
     winner is the qualified candidate with the smallest score (smallest
-    bandwidth on ties). ``spec`` may be a :class:`TrainedMetric` on
-    ``train`` (ValueError on other curves or with a ``dist``), whose cached
-    :class:`PairBins` the sweep then reuses; with a plain spec, ``dist``
-    may give the self-distance matrix under it.
+    bandwidth on ties). ``spec`` and ``dist`` give the metric as
+    :meth:`TrainedMetric.of` does; a :class:`TrainedMetric`'s cached
+    :class:`PairBins` are reused.
     """
     resp = np.asarray(responses, dtype=float)
     cand = np.asarray(candidates, dtype=float)
@@ -435,19 +444,9 @@ def cv_bandwidth(
         raise ValueError("bandwidth candidates must be positive")
     if resp.shape != (len(train),):
         raise ValueError("responses must align with the training curves")
-    if isinstance(spec, TrainedMetric):
-        dist = spec.check(train, dist).dist
-    elif dist is None:
-        spec = TrainedMetric(spec, train)
-        dist = spec.dist
-    else:
-        dist = np.asarray(dist, dtype=float)
-    if dist.shape != (resp.size, resp.size):
-        raise ValueError("expected the self-distance matrix of the training curves")
     by_h = np.argsort(cand, kind="stable")
     hs = cand[by_h]
-    bins = (spec.pair_bins(kernel, hs) if isinstance(spec, TrainedMetric)
-            else PairBins(dist, hs, kernel))
+    bins = TrainedMetric.of(spec, train, dist).pair_bins(kernel, hs)
     err = resp[:, None] - bins.loo_fits(resp)
     scores = np.empty(cand.size)
     fb_rates = np.empty(cand.size)

@@ -20,6 +20,7 @@ from . import _blocks
 from .curves import Curve, CurveSet, Grid, derivative_set
 
 SEMIMETRIC_KINDS = ("deriv_l2", "pca_projection")
+DERIV_METHODS = ("finite_diff", "bspline")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class SemiMetricSpec:
         if self.kind == "deriv_l2":
             if self.order < 0:
                 raise ValueError("derivative order must be nonnegative")
-            if self.deriv_method not in ("finite_diff", "bspline"):
+            if self.deriv_method not in DERIV_METHODS:
                 raise ValueError(
                     f"unknown derivative method {self.deriv_method!r}"
                 )

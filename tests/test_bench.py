@@ -71,6 +71,8 @@ def test_config_validation():
         ExperimentConfig("ex1", methods=("residual", "residual"))
     with pytest.raises(ValueError):
         ExperimentConfig("ex1", methods=("ratio",))
+    with pytest.raises(ValueError):
+        ExperimentConfig("ex1", self_inclusion="bogus", methods=("direct",))
 
 
 def test_config_dict_has_no_runtime_fields():

@@ -458,9 +458,14 @@ def test_cv_rejects_unknown_kernel_and_misshapen_distances():
     with pytest.raises(ValueError):
         cv_bandwidth(cs, y, SPEC0, "gaussian", [1.0])
     d = distance_matrix(SPEC0, cs)
+    fit = fit_mean(cs, y, SPEC0)
     for bad in (d[:3], d[:, :3], np.vstack([d, d[:1]])):
         with pytest.raises(ValueError):
             cv_bandwidth(cs, y, SPEC0, "quadratic", [1.0], dist=bad)
+        with pytest.raises(ValueError, match="self-distance matrix"):
+            fit_mean(cs, y, SPEC0, dist=bad)
+        with pytest.raises(ValueError, match="self-distance matrix"):
+            fit_variance("direct", fit, SPEC0, dist=bad)
 
 
 def test_cv_validation():

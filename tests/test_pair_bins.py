@@ -3,7 +3,7 @@ basis, in-place kernel weights, and the grid read from each pair once."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import squareform
 
 import funvar.estimators as estimators
@@ -14,6 +14,8 @@ from funvar.estimators import (
     TrainedMetric,
     cv_bandwidth,
     default_bandwidth_grid,
+    fit_mean,
+    fit_variance,
     predict_variance_insample,
     quantile_grid,
 )
@@ -277,9 +279,18 @@ def test_cv_with_a_given_dist_never_trains_the_spec():
     cs, y = random_set(30, 7)
     d = distance_matrix(SPEC0, cs)
     hs = default_bandwidth_grid(d, 12)
-    cv = cv_bandwidth(cs, y, SemiMetricSpec.pca_projection(12), "quadratic", hs, dist=d)
+    spec = SemiMetricSpec.pca_projection(12)
+    cv = cv_bandwidth(cs, y, spec, "quadratic", hs, dist=d)
     for h, score in zip(hs, cv.scores):
         assert score == pytest.approx(oracles.loo_cv_score(d, y, h, "quadratic")[0], rel=1e-12)
+    # nor do the fits on that dist, nor their in-sample predictions
+    fit = fit_mean(cs, y, spec, bandwidth=cv.bandwidth, dist=d)
+    w, _ = weight_matrix(d, cv.bandwidth)
+    for method in ("residual", "direct"):
+        vfit = fit_variance(method, fit, spec, bandwidth=cv.bandwidth, dist=d)
+        v_hat, _, _ = predict_variance_insample(vfit)
+        want = w @ vfit.pseudo - (0.0 if method == "residual" else (w @ y) ** 2)
+        assert_allclose(v_hat, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
 
 
 def test_cv_rejects_a_dist_beside_a_trained_metric():
