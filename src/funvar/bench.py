@@ -151,9 +151,14 @@ class ExperimentReport:
         }
 
 
+def canonical_json(data) -> str:
+    """Canonical JSON text (sorted keys, indent 2, final newline); stable byte-for-byte."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def serialize_report(report) -> str:
     """Canonical JSON text for a report; stable byte-for-byte."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return canonical_json(report.to_dict())
 
 
 def discrete_mse(estimates, truths) -> float:
@@ -182,6 +187,24 @@ class PipelineFit:
     cv_v: tuple[CvResult | None, ...]
     pseudo_fallbacks: int
 
+    def predict(self, xs: CurveSet) -> tuple[tuple, tuple[tuple, ...]]:
+        """The mean's (values, fallback mask) and each stage's (values,
+        fallback mask, clip mask) at ``xs``. Each metric's distances from
+        ``xs`` are built once and dropped after the last fit on it."""
+        fits = (self.mean, *self.variances)
+        blocks: dict = {}
+
+        def block(i):
+            metric = fits[i].metric
+            d = blocks.pop(metric) if metric in blocks else metric.cross(xs)
+            if any(f.metric is metric for f in fits[i + 1:]):
+                blocks[metric] = d
+            return d
+
+        mean = predict_mean_set(self.mean, xs, block(0))
+        return mean, tuple(predict_variance_set(v, xs, mean, block(i))
+                           for i, v in enumerate(self.variances, 1))
+
 
 def fit_pipeline(
     train: CurveSet,
@@ -201,12 +224,11 @@ def fit_pipeline(
     None is chosen by cross-validation over the default grid of its stage's
     semi-metric: h_m on the responses, h_v on the stage's pseudo-responses
     (squared residuals around the fitted mean, or squared responses for the
-    direct method). Stages whose specs have the same trained basis, as
-    each other or as the mean's, share one set of features, distances,
-    grid and binned pairs, so each semi-metric bins its pairs once.
-    ``residual_pseudo``
-    replaces the squared residuals, e.g. with squared errors around a known
-    mean.
+    direct method). Stages whose specs one metric
+    :meth:`~TrainedMetric.runs`, the mean's or an earlier stage's, share its
+    features, distances, grid and binned pairs, so each semi-metric bins its
+    pairs once. ``residual_pseudo`` replaces the squared residuals, e.g.
+    with squared errors around a known mean.
     """
 
     def select(metric: TrainedMetric, responses, h):
@@ -217,6 +239,7 @@ def fit_pipeline(
         return cv.bandwidth, cv
 
     metric = TrainedMetric(spec, train)
+    metrics = [metric]  # one per distinct trained spec
     h_m, cv_m = select(metric, y, h_m)
     mean_fit = fit_mean(train, y, metric, kernel, h_m, policy)
     residuals = residual_pseudo
@@ -227,7 +250,10 @@ def fit_pipeline(
             residuals, fb = squared_residuals(mean_fit, self_inclusion)
             pseudo_fallbacks = int(fb.sum())
         pseudo = residuals if method == "residual" else mean_fit.y**2
-        metric_v = metric.for_spec(spec_v)
+        metric_v = next((m for m in metrics if m.runs(spec_v)), None)
+        if metric_v is None:
+            metric_v = TrainedMetric(spec_v, train)
+            metrics.append(metric_v)
         h_v, cv_v = select(metric_v, pseudo, h_v)
         fits.append(fit_variance(method, mean_fit, metric_v, bandwidth=h_v,
                                  self_inclusion=self_inclusion,
@@ -468,8 +494,7 @@ def chemo_workflow(
     stages = [("residual", cfg.semimetric(o), None) for o in cfg.candidate_orders]
     fit = fit_pipeline(train, y_train, cfg.semimetric(cfg.mean_order), cfg.kernel,
                        stages, grid_size=cfg.grid_size)
-    d_val = fit.mean.metric.cross(val)
-    m_val, fb_mean = predict_mean_set(fit.mean, val, d_val)
+    (m_val, fb_mean), v_val = fit.predict(val)
     if fb_mean.all():
         raise RuntimeError(
             "every validation mean prediction fell back to a nearest neighbor; "
@@ -481,9 +506,7 @@ def chemo_workflow(
     val_mse: dict = {}
     var_fallbacks: dict = {}
     v_by_order: dict = {}
-    for order, vfit in zip(cfg.candidate_orders, fit.variances):
-        shared = vfit.metric is fit.mean.metric
-        v_hat, fb_v, _ = predict_variance_set(vfit, val, dist=d_val if shared else None)
+    for order, vfit, (v_hat, fb_v, _) in zip(cfg.candidate_orders, fit.variances, v_val):
         h_v[order] = vfit.bandwidth
         val_mse[order] = discrete_mse(v_hat, r_val)
         var_fallbacks[order] = int(fb_v.sum())

@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from .bench import (
     ChemoConfig,
     ExperimentAbortError,
     ExperimentConfig,
+    canonical_json,
     chemo_workflow,
     fit_pipeline,
     run_experiment,
@@ -34,6 +36,7 @@ from .bench import (
 )
 from .curves import (
     CurveSet,
+    _fmt,
     read_curves_csv,
     read_responses_csv,
     write_curves_csv,
@@ -44,9 +47,7 @@ from .estimators import (
     VARIANCE_METHODS,
     BandwidthSelectionError,
     TrainedMetric,
-    predict_mean_set,
     predict_variance_insample,
-    predict_variance_set,
     quantile_grid,
 )
 from .kernels import (
@@ -66,10 +67,6 @@ EXIT_COMPUTE = 4
 
 class CliIoError(RuntimeError):
     """A file could not be read, parsed, or written."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _atomic_write(path: str, write_to) -> None:
@@ -322,12 +319,14 @@ def _cmd_fit(args) -> int:
         },
     }
     out = _out_path(args, args.model_out)
-    _write_text(out, json.dumps(model, sort_keys=True, indent=2) + "\n")
+    _write_text(out, canonical_json(model))
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def _load_model(path: str) -> dict:
+def _load_model(path: str) -> tuple[dict, SemiMetricSpec, SemiMetricSpec]:
+    """The model and its mean and variance specs; CliIoError if the file is
+    unreadable or any value predict passes on is missing or malformed."""
     try:
         with open(path, encoding="utf-8") as f:
             model = json.load(f)
@@ -336,14 +335,28 @@ def _load_model(path: str) -> dict:
     needed = ("curves_file", "responses_file", "curves_sha256", "responses_sha256",
               "semimetric", "variance_semimetric", "kernel", "policy",
               "self_inclusion", "variance_method", "h_m", "h_v")
-    missing = [k for k in needed if k not in model]
+    missing = [k for k in needed if not isinstance(model, dict) or k not in model]
     if missing:
         raise CliIoError(f"model {path} is missing fields: {', '.join(missing)}")
-    return model
+    choices = {"kernel": KERNEL_KINDS, "policy": WEIGHT_POLICIES,
+               "self_inclusion": SELF_INCLUSION_MODES, "variance_method": VARIANCE_METHODS}
+    for key, allowed in choices.items():
+        if model[key] not in allowed:
+            raise CliIoError(f"model {path}: {key} {model[key]!r} is not one of "
+                             f"{', '.join(allowed)}")
+    for key in ("h_m", "h_v"):
+        h = model[key]
+        if not (type(h) in (int, float) and math.isfinite(h) and h > 0):
+            raise CliIoError(f"model {path}: {key} {h!r} is not a positive finite number")
+    try:
+        return model, *(SemiMetricSpec.from_config(model[key])
+                        for key in ("semimetric", "variance_semimetric"))
+    except ValueError as exc:
+        raise CliIoError(f"model {path}: {exc}") from exc
 
 
 def _cmd_predict(args) -> int:
-    model = _load_model(args.model)
+    model, spec_m, spec_v = _load_model(args.model)
     for kind in ("curves", "responses"):
         path = model[f"{kind}_file"]
         if not os.path.exists(path):
@@ -358,18 +371,11 @@ def _cmd_predict(args) -> int:
     y = _read_responses(model["responses_file"])
     xs = _read_curves(args.curves)
 
-    spec_m = SemiMetricSpec.from_config(model["semimetric"])
-    spec_v = SemiMetricSpec.from_config(model["variance_semimetric"])
     fit = fit_pipeline(train, y, spec_m, model["kernel"],
                        [(model["variance_method"], spec_v, model["h_v"])],
                        h_m=model["h_m"], policy=model["policy"],
                        self_inclusion=model["self_inclusion"])
-    vfit = fit.variances[0]
-    dist = fit.mean.metric.cross(xs)
-    m_hat, m_fb = predict_mean_set(fit.mean, xs, dist)
-    if vfit.metric is not fit.mean.metric:
-        dist = None  # free the mean's block before the variance builds its own
-    v_hat, v_fb, v_clip = predict_variance_set(vfit, xs, mean=(m_hat, m_fb), dist=dist)
+    (m_hat, m_fb), ((v_hat, v_fb, v_clip),) = fit.predict(xs)
     rows = [
         [i, _fmt(m), int(fm), _fmt(v), int(fv), int(c)]
         for i, (m, fm, v, fv, c) in enumerate(zip(m_hat, m_fb, v_hat, v_fb, v_clip))
@@ -428,7 +434,7 @@ def _cmd_chemo(args) -> int:
     )
     report = chemo_workflow(cfg, curves, y)
     out_json = _out_path(args, args.report_out)
-    _write_text(out_json, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_text(out_json, serialize_report(report))
     out_csv = _out_path(args, args.pairs_out)
     rows = [
         [i, _fmt(v), _fmt(r)]
@@ -456,7 +462,7 @@ def _cmd_smallball(args) -> int:
         payload = {
             "rows": [{"h": float(h), "fraction": f} for h, f in zip(hs, fractions)]
         }
-        _write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(out, canonical_json(payload))
     else:
         _write_rows(out, ["h", "fraction"],
                     [[_fmt(h), _fmt(f)] for h, f in zip(hs, fractions)])

@@ -65,7 +65,6 @@ class TrainedMetric:
         self._dist = dist
         self._grids: dict[int, np.ndarray] = {}
         self._bins: dict[tuple, PairBins] = {}
-        self._others: list[TrainedMetric] = []
 
     @classmethod
     def of(cls, spec: SemiMetricSpec | TrainedMetric, train: CurveSet,
@@ -75,9 +74,8 @@ class TrainedMetric:
 
         A TrainedMetric ``spec`` is that metric; it must be on the curves
         ``train`` and come without a ``dist`` (ValueError otherwise). A plain
-        spec runs on ``dist`` when given, else on ``near.for_spec(spec)``
-        when a metric ``near`` on the same curves is given to share, else on
-        a new metric.
+        spec runs on ``dist`` when given, else on ``near`` when a metric
+        ``near`` on the same curves :meth:`runs` it, else on a new metric.
         """
         if isinstance(spec, TrainedMetric):
             if dist is not None:
@@ -88,8 +86,8 @@ class TrainedMetric:
             ):
                 raise ValueError("the TrainedMetric is on other training curves")
             return spec
-        if dist is None and near is not None:
-            return near.for_spec(spec)
+        if dist is None and near is not None and near.runs(spec):
+            return near
         return cls(spec, train, dist)
 
     @property
@@ -137,23 +135,14 @@ class TrainedMetric:
         fx = feature_matrix(self.spec, xs)
         return pairwise_from_features(fx, self.features, self.weights)
 
-    def for_spec(self, spec: SemiMetricSpec) -> TrainedMetric:
-        """The metric of ``spec`` on the same training curves: this one, or
-        one this method returned before, when the trained basis is the
-        same; a new one otherwise.
-
-        Spec equality ignores a projection's basis, so the basis is
-        compared as well.
-        """
-        if not spec.trained:
-            spec = train_projection(spec, self.train)
-        for metric in (self, *self._others):
-            if spec == metric.spec and (
-                spec.basis is None or np.array_equal(spec.basis, metric.spec.basis)
-            ):
-                return metric
-        self._others.append(TrainedMetric(spec, self.train))
-        return self._others[-1]
+    def runs(self, spec: SemiMetricSpec) -> bool:
+        """Whether ``spec``, trained on these curves if it is not yet, is this
+        metric's spec. Spec equality ignores a projection's basis, so the
+        basis is compared as well."""
+        if spec != self._spec:
+            return False
+        spec = spec if spec.trained else train_projection(spec, self.train)
+        return spec.basis is None or np.array_equal(spec.basis, self.spec.basis)
 
 
 def _smooth(
@@ -287,10 +276,6 @@ class VarianceFit:
     pseudo: np.ndarray = field(repr=False)
 
     @property
-    def train(self) -> CurveSet:
-        return self.mean_fit.train
-
-    @property
     def spec(self) -> SemiMetricSpec:
         return self.metric.spec
 
@@ -312,11 +297,13 @@ def fit_variance(
     (residual method) or squared responses (direct method);
     ``pseudo_responses`` overrides them, e.g. with squared errors around a
     known mean function. ``spec`` and ``dist`` give the metric as
-    :meth:`TrainedMetric.of` does; without a ``dist``, a plain ``spec`` with
-    the mean fit's trained basis shares the mean fit's distances.
+    :meth:`TrainedMetric.of` does; without a ``dist``, a plain ``spec`` that
+    the mean fit's metric :meth:`~TrainedMetric.runs` shares that metric.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown variance method {method!r}")
+    if self_inclusion not in SELF_INCLUSION_MODES:
+        raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     kernel = mean_fit.kernel if kernel is None else kernel
@@ -372,18 +359,12 @@ def predict_variance_set(
     ``mean`` may pass in the mean predictions (values, fallback mask) at
     ``xs`` that the caller already has, so the direct method does not
     compute them again; ``dist`` the distances from ``xs`` to the training
-    curves under the variance metric.
+    curves under the variance metric. Either is computed when not given.
     """
     if dist is None:
         dist = fit.metric.cross(xs)
-    shared = fit.metric is fit.mean_fit.metric
-
-    def mean_at_xs():
-        if mean is not None:
-            return mean
-        return predict_mean_set(fit.mean_fit, xs, dist if shared else None)
-
-    return _variance_at(fit, dist, mean_at_xs)
+    return _variance_at(fit, dist, lambda: mean if mean is not None
+                        else predict_mean_set(fit.mean_fit, xs))
 
 
 def predict_variance_insample(

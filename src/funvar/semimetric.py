@@ -89,6 +89,13 @@ class SemiMetricSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> SemiMetricSpec:
+        """The spec of a :meth:`to_config` dict; ValueError if malformed."""
+        kind = cfg.get("kind") if isinstance(cfg, dict) else None
+        # each kind's integer fields, with their defaults (dim has none)
+        sizes = {"deriv_l2": {"order": 0, "knots": 20, "degree": 3},
+                 "pca_projection": {"dim": None}}.get(kind)
+        if sizes is None or not all(type(cfg.get(k, v)) is int for k, v in sizes.items()):
+            raise ValueError(f"malformed semi-metric config {cfg!r}")
         if cfg["kind"] == "deriv_l2":
             return cls.deriv_l2(
                 cfg.get("order", 0),

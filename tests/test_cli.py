@@ -222,6 +222,26 @@ def test_predict_rejects_incomplete_model(tmp_path):
                "--curves", curves_f) == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("semimetric", {"kind": "bogus"}),
+    ("semimetric", {"kind": "pca_projection"}),
+    ("h_m", "abc"),
+    ("self_inclusion", "bogus"),
+    ("kernel", "bogus"),
+    ("variance_method", "bogus"),
+])
+def test_predict_rejects_a_malformed_model(tmp_path, field, value):
+    curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f, "--method", "direct", "--grid-size", 6) == 0
+    path = tmp_path / "model.json"
+    model = json.loads(path.read_text())
+    model[field] = value
+    path.write_text(json.dumps(model))
+    assert run("--output-dir", tmp_path, "predict", "--model", path,
+               "--curves", curves_f) == 3
+
+
 def test_bench_cli_reports_are_byte_identical(tmp_path):
     for sub, threads in (("t1", 1), ("t2", 2)):
         code = run("--seed", 7, "--threads", threads, "--output-dir",

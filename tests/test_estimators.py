@@ -267,6 +267,12 @@ def test_variance_validation():
     with pytest.raises(ValueError):
         fit_variance("residual", fit, SPEC0, bandwidth=1.0,
                      pseudo_responses=np.ones(3))
+    # every method checks the mode, also where it computes no residuals
+    with pytest.raises(ValueError):
+        fit_variance("direct", fit, SPEC0, bandwidth=1.0, self_inclusion="bogus")
+    with pytest.raises(ValueError):
+        fit_variance("residual", fit, SPEC0, bandwidth=1.0, self_inclusion="bogus",
+                     pseudo_responses=np.ones(4))
 
 
 def test_known_mean_injection_reproduces_plain_smoothing():

@@ -1,6 +1,8 @@
 """Binned pair sums shared by cross-validation, one metric per trained
 basis, in-place kernel weights, and the grid read from each pair once."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -16,7 +18,9 @@ from funvar.estimators import (
     default_bandwidth_grid,
     fit_mean,
     fit_variance,
+    predict_mean_set,
     predict_variance_insample,
+    predict_variance_set,
     quantile_grid,
 )
 from funvar.kernels import KERNEL_KINDS, POLICY_ERROR, EmptyNeighborhoodError, weight_matrix
@@ -132,6 +136,34 @@ def test_stages_that_share_a_spec_share_its_metric(monkeypatch):
     metrics = [v.metric for v in fit.variances]
     assert metrics[0] is fit.mean.metric
     assert metrics[1] is metrics[2] and metrics[1] is not metrics[0]
+
+
+def test_pipeline_predict_builds_each_query_block_once_and_drops_it(monkeypatch):
+    cs, y = random_set(40, 8)
+    xs, _ = random_set(25, 9)
+    pca = SemiMetricSpec.pca_projection(2)
+    fit = fit_pipeline(cs, y, SPEC0, "quadratic",
+                       [("residual", SPEC0, None), ("direct", SemiMetricSpec.deriv_l2(1), None),
+                        ("direct", pca, None), ("residual", pca, None)], grid_size=10)
+    want_mean = predict_mean_set(fit.mean, xs)
+    want = [predict_variance_set(v, xs) for v in fit.variances]
+    built = []
+    real = estimators.pairwise_from_features
+
+    def counting(fa, fb, w):
+        # every earlier block, the mean's first, was last used by an earlier fit
+        assert all(ref() is None for ref in built)
+        out = real(fa, fb, w)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(estimators, "pairwise_from_features", counting)
+    mean, stages = fit.predict(xs)
+    assert len(built) == 3  # the mean's metric, order 1, the PCA metric
+    for got, expect in zip((mean, *stages), (want_mean, *want)):
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_KINDS)
