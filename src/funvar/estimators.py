@@ -205,8 +205,8 @@ def fit_mean(
         raise ValueError("need at least 2 training curves")
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     return MeanFit(TrainedMetric.of(spec, train, dist), y, kernel, float(bandwidth),
                    policy)
 
@@ -304,8 +304,8 @@ def fit_variance(
         raise ValueError(f"unknown variance method {method!r}")
     if self_inclusion not in SELF_INCLUSION_MODES:
         raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     kernel = mean_fit.kernel if kernel is None else kernel
     policy = mean_fit.policy if policy is None else policy
     pseudo = np.asarray(

@@ -112,6 +112,14 @@ def test_invalid_bandwidth_exits_4(tmp_path):
                "--responses", resp_f, "--h-m", -1.0) == 4
 
 
+def test_infinite_bandwidth_exits_4(tmp_path):
+    # the model would store Infinity, which predict rejects as malformed
+    curves_f, resp_f = simulate_small(tmp_path)
+    for flag in ("--h-m", "--h-v"):
+        assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+                   "--responses", resp_f, flag, "inf") == 4
+
+
 def test_fit_predict_round_trip(tmp_path):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=16, seed=2)
     fit_dir = tmp_path / "fit"
