@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 MIN_CELLS = 1 << 18
@@ -69,7 +69,9 @@ def run(fn: Callable[[int, int], None], bounds: Sequence[tuple[int, int]],
             fn(lo, hi)
         return
     pool = _shared_pool()
-    for future in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
+    futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
+    wait(futures)
+    for future in futures:
         future.result()
 
 

@@ -239,7 +239,6 @@ def fit_pipeline(
         return cv.bandwidth, cv
 
     metric = TrainedMetric(spec, train)
-    metrics = [metric]  # one per distinct trained spec
     h_m, cv_m = select(metric, y, h_m)
     mean_fit = fit_mean(train, y, metric, kernel, h_m, policy)
     residuals = residual_pseudo
@@ -250,10 +249,8 @@ def fit_pipeline(
             residuals, fb = squared_residuals(mean_fit, self_inclusion)
             pseudo_fallbacks = int(fb.sum())
         pseudo = residuals if method == "residual" else mean_fit.y**2
-        metric_v = next((m for m in metrics if m.runs(spec_v)), None)
-        if metric_v is None:
-            metric_v = TrainedMetric(spec_v, train)
-            metrics.append(metric_v)
+        metric_v = TrainedMetric.of(spec_v, train,
+                                    near=(metric, *(f.metric for f in fits)))
         h_v, cv_v = select(metric_v, pseudo, h_v)
         fits.append(fit_variance(method, mean_fit, metric_v, bandwidth=h_v,
                                  self_inclusion=self_inclusion,

@@ -8,19 +8,17 @@ curve files), smallball (small-ball fraction table).
 Exit codes: 0 success, 2 usage error, 3 file/I-O error, 4 computation
 error. All randomness flows from --seed, which is mandatory for the
 stochastic subcommands. Output files are written atomically (temp file +
-rename); input files are never modified.
+rename) with the process umask; input files are never modified.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -36,7 +34,8 @@ from .bench import (
 )
 from .curves import (
     CurveSet,
-    _fmt,
+    _atomic_write,
+    _write_rows,
     read_curves_csv,
     read_responses_csv,
     write_curves_csv,
@@ -69,36 +68,9 @@ class CliIoError(RuntimeError):
     """A file could not be read, parsed, or written."""
 
 
-def _atomic_write(path: str, write_to) -> None:
-    """Write a file by calling write_to(tmp_path) and renaming into place."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-funvar-")
-    os.close(fd)
-    try:
-        write_to(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_text(path: str, text: str) -> None:
-    def w(tmp):
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-
-    _atomic_write(path, w)
-
-
-def _write_rows(path: str, header: list[str], rows) -> None:
-    def w(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
-
-    _atomic_write(path, w)
+    with _atomic_write(path) as f:
+        f.write(text)
 
 
 def _read_curves(path: str) -> CurveSet:
@@ -271,15 +243,11 @@ def _cmd_simulate(args) -> int:
     curves_path = _out_path(args, f"{stem}_curves.csv")
     resp_path = _out_path(args, f"{stem}_responses.csv")
     truth_path = _out_path(args, f"{stem}_truth.csv")
-    _atomic_write(curves_path, lambda tmp: write_curves_csv(tmp, ds.curves))
-    _atomic_write(resp_path, lambda tmp: write_responses_csv(tmp, ds.y))
-    n_par = ds.params.shape[1]
-    header = ["true_m", "true_v"] + [f"param_{k + 1}" for k in range(n_par)]
-    rows = [
-        [_fmt(m), _fmt(v)] + [_fmt(p) for p in ps]
-        for m, v, ps in zip(ds.m_true, ds.v_true, ds.params)
-    ]
-    _write_rows(truth_path, header, rows)
+    write_curves_csv(curves_path, ds.curves)
+    write_responses_csv(resp_path, ds.y)
+    header = ["true_m", "true_v"] + [f"param_{k + 1}" for k in range(ds.params.shape[1])]
+    truth = np.column_stack([ds.m_true, ds.v_true, ds.params])
+    _write_rows(truth_path, header, (row.tolist() for row in truth))
     for path in (curves_path, resp_path, truth_path):
         print(f"wrote {path}")
     return EXIT_OK
@@ -376,13 +344,11 @@ def _cmd_predict(args) -> int:
                        h_m=model["h_m"], policy=model["policy"],
                        self_inclusion=model["self_inclusion"])
     (m_hat, m_fb), ((v_hat, v_fb, v_clip),) = fit.predict(xs)
-    rows = [
-        [i, _fmt(m), int(fm), _fmt(v), int(fv), int(c)]
-        for i, (m, fm, v, fv, c) in enumerate(zip(m_hat, m_fb, v_hat, v_fb, v_clip))
-    ]
+    cols = (np.arange(len(xs)), m_hat, m_fb.astype(int), v_hat, v_fb.astype(int),
+            v_clip.astype(int))
     out = _out_path(args, args.out)
     _write_rows(out, ["index", "m_hat", "m_fallback", "v_hat", "v_fallback",
-                      "v_clipped"], rows)
+                      "v_clipped"], zip(*(c.tolist() for c in cols)))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -436,11 +402,8 @@ def _cmd_chemo(args) -> int:
     out_json = _out_path(args, args.report_out)
     _write_text(out_json, serialize_report(report))
     out_csv = _out_path(args, args.pairs_out)
-    rows = [
-        [i, _fmt(v), _fmt(r)]
-        for i, (v, r) in enumerate(zip(report.v_hat, report.r_hat))
-    ]
-    _write_rows(out_csv, ["index", "v_hat", "r_squared"], rows)
+    cols = (np.arange(len(report.v_hat)), report.v_hat, report.r_hat)
+    _write_rows(out_csv, ["index", "v_hat", "r_squared"], zip(*(c.tolist() for c in cols)))
     mses = " ".join(f"order{o}={report.val_mse[o]:.6g}" for o in orders)
     print(f"chosen order: {report.chosen_order} ({mses})")
     print(f"wrote {out_json}")
@@ -464,8 +427,7 @@ def _cmd_smallball(args) -> int:
         }
         _write_text(out, canonical_json(payload))
     else:
-        _write_rows(out, ["h", "fraction"],
-                    [[_fmt(h), _fmt(f)] for h, f in zip(hs, fractions)])
+        _write_rows(out, ["h", "fraction"], zip(hs.tolist(), fractions))
     print(f"wrote {out}")
     return EXIT_OK
 

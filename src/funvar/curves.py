@@ -8,10 +8,13 @@ by a least-squares B-spline fit.
 from __future__ import annotations
 
 import csv
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy.interpolate import make_lsq_spline
@@ -131,6 +134,14 @@ def _spline_knots(points: np.ndarray, knots: int, degree: int) -> np.ndarray:
     ]
 
 
+def _check_spline(order: int, knots: int, degree: int) -> None:
+    """The rules of an order-``order`` spline derivative that hold on any grid."""
+    if degree <= order:
+        raise ValueError(f"spline degree {degree} must exceed derivative order {order}")
+    if knots < 1:
+        raise ValueError("need at least one interior knot")
+
+
 def _spline_derivative(
     grid: Grid, values: np.ndarray, order: int, knots: int, degree: int
 ) -> np.ndarray:
@@ -140,10 +151,7 @@ def _spline_derivative(
     ``values`` is (T, n), one curve per column; the derivative keeps that
     shape.
     """
-    if degree <= order:
-        raise ValueError(f"spline degree {degree} must exceed derivative order {order}")
-    if knots < 1:
-        raise ValueError("need at least one interior knot")
+    _check_spline(order, knots, degree)
     if knots + degree + 1 > grid.size:
         raise ValueError(
             f"{knots} knots with degree {degree} need at least "
@@ -210,23 +218,46 @@ def derivative_set(
     raise ValueError(f"unknown derivative method {method!r}")
 
 
-# --- CSV formats -----------------------------------------------------------
+# --- Files -----------------------------------------------------------------
 #
-# Curves: first row is the grid ("t" then abscissae); each subsequent row is
-# one curve's values. Responses: single column with header "y", row-aligned
-# with the curves file.
+# Every file funvar writes reaches the disk through _atomic_write, and every
+# CSV through _write_rows. Curves: first row is the grid ("t" then
+# abscissae); each subsequent row is one curve's values. Responses: single
+# column with header "y", row-aligned with the curves file.
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+@contextmanager
+def _atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write ``path`` through: a new file beside it, renamed
+    into place once the block completes, so a failed write leaves any
+    previous file as it was. Like ``open``, it gets the process umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-funvar-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_rows(path: str | Path, header: list, rows: Iterable) -> None:
+    """Write a CSV table atomically, streaming ``rows`` one at a time.
+
+    Cells are Python numbers (as ``ndarray.tolist()`` gives them) or
+    strings; csv writes a float as its ``repr``, so a round trip is exact.
+    """
+    with _atomic_write(path) as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_curves_csv(path: str | Path, cs: CurveSet) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t"] + [_fmt(t) for t in cs.grid.points])
-        for row in cs.values:
-            w.writerow([_fmt(v) for v in row])
+    # row by row: Python floats for the whole table would take several times its memory
+    _write_rows(path, ["t", *cs.grid.points.tolist()], (row.tolist() for row in cs.values))
 
 
 def read_curves_csv(path: str | Path) -> CurveSet:
@@ -245,11 +276,7 @@ def read_curves_csv(path: str | Path) -> CurveSet:
 
 
 def write_responses_csv(path: str | Path, y: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["y"])
-        for v in np.asarray(y, dtype=float):
-            w.writerow([_fmt(v)])
+    _write_rows(path, ["y"], ([v] for v in np.asarray(y, dtype=float).tolist()))
 
 
 def read_responses_csv(path: str | Path) -> np.ndarray:
@@ -257,4 +284,7 @@ def read_responses_csv(path: str | Path) -> np.ndarray:
         rows = list(csv.reader(f))
     if not rows or rows[0] != ["y"]:
         raise ValueError(f"{path}: responses file must have a 'y' header")
-    return np.array([float(row[0]) for row in rows[1:] if row])
+    y = np.array([float(row[0]) for row in rows[1:] if row])
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"{path}: responses must be finite")
+    return y

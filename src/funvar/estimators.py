@@ -10,7 +10,7 @@ cross-validation over a quantile-based candidate grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import squareform
@@ -69,13 +69,14 @@ class TrainedMetric:
     @classmethod
     def of(cls, spec: SemiMetricSpec | TrainedMetric, train: CurveSet,
            dist: np.ndarray | None = None,
-           near: TrainedMetric | None = None) -> TrainedMetric:
+           near: Iterable[TrainedMetric] = ()) -> TrainedMetric:
         """The metric an estimator on ``train`` runs on.
 
         A TrainedMetric ``spec`` is that metric; it must be on the curves
         ``train`` and come without a ``dist`` (ValueError otherwise). A plain
-        spec runs on ``dist`` when given, else on ``near`` when a metric
-        ``near`` on the same curves :meth:`runs` it, else on a new metric.
+        spec runs on ``dist`` when given, else on the first of the metrics
+        ``near``, already built on the same curves, that :meth:`runs` it,
+        else on a new metric.
         """
         if isinstance(spec, TrainedMetric):
             if dist is not None:
@@ -86,8 +87,10 @@ class TrainedMetric:
             ):
                 raise ValueError("the TrainedMetric is on other training curves")
             return spec
-        if dist is None and near is not None and near.runs(spec):
-            return near
+        if dist is None:
+            shared = next((m for m in near if m.runs(spec)), None)
+            if shared is not None:
+                return shared
         return cls(spec, train, dist)
 
     @property
@@ -314,9 +317,11 @@ def fit_variance(
         else mean_fit.y**2, dtype=float)
     if pseudo.shape != mean_fit.y.shape:
         raise ValueError("pseudo-responses must align with the responses")
+    if not np.all(np.isfinite(pseudo)):
+        raise ValueError("pseudo-responses must be finite")
     if method == "residual" and np.any(pseudo < 0):
         raise ValueError("residual pseudo-responses must be nonnegative")
-    metric = TrainedMetric.of(spec, mean_fit.train, dist, near=mean_fit.metric)
+    metric = TrainedMetric.of(spec, mean_fit.train, dist, near=(mean_fit.metric,))
     return VarianceFit(method, mean_fit, metric, kernel, float(bandwidth), policy,
                        self_inclusion, pseudo)
 
@@ -425,6 +430,8 @@ def cv_bandwidth(
         raise ValueError("bandwidth candidates must be positive")
     if resp.shape != (len(train),):
         raise ValueError("responses must align with the training curves")
+    if not np.all(np.isfinite(resp)):
+        raise ValueError("responses must be finite")
     by_h = np.argsort(cand, kind="stable")
     hs = cand[by_h]
     bins = TrainedMetric.of(spec, train, dist).pair_bins(kernel, hs)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import _blocks
-from .curves import Curve, CurveSet, Grid, derivative_set
+from .curves import Curve, CurveSet, Grid, _check_spline, derivative_set
 
 SEMIMETRIC_KINDS = ("deriv_l2", "pca_projection")
 DERIV_METHODS = ("finite_diff", "bspline")
@@ -52,6 +52,9 @@ class SemiMetricSpec:
                 raise ValueError(
                     f"unknown derivative method {self.deriv_method!r}"
                 )
+            # order 0 never fits a spline
+            if self.deriv_method == "bspline" and self.order >= 1:
+                _check_spline(self.order, self.knots, self.degree)
         if self.kind == "pca_projection" and self.dim < 1:
             raise ValueError("projection dimension must be >= 1")
 

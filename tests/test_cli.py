@@ -106,6 +106,35 @@ def test_missing_input_file_exits_3(tmp_path):
                tmp_path / "absent.csv") == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_a_non_finite_response_exits_3(tmp_path, bad):
+    curves_f, resp_f = simulate_small(tmp_path, n=10, seed=23)
+    lines = Path(resp_f).read_text().splitlines()
+    lines[4] = bad
+    Path(resp_f).write_text("\n".join(lines) + "\n")
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f) == 3
+
+
+def test_output_files_get_the_process_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        curves_f, resp_f = simulate_small(tmp_path, n=10, seed=6)
+        out = tmp_path / "out"
+        assert run("--output-dir", out, "fit", "--curves", curves_f,
+                   "--responses", resp_f, "--grid-size", 6) == 0
+        assert run("--output-dir", out, "predict", "--model", out / "model.json",
+                   "--curves", curves_f) == 0
+        assert run("--output-dir", out, "smallball", "--curves", curves_f) == 0
+        assert run("--output-dir", out, "--format", "json", "smallball",
+                   "--curves", curves_f) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777
+             for d in (tmp_path / "data", out) for p in d.iterdir()}
+    assert len(modes) == 7 and set(modes.values()) == {0o666 & ~0o027}
+
+
 def test_invalid_bandwidth_exits_4(tmp_path):
     curves_f, resp_f = simulate_small(tmp_path)
     assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
@@ -233,6 +262,12 @@ def test_predict_rejects_incomplete_model(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("semimetric", {"kind": "bogus"}),
     ("semimetric", {"kind": "pca_projection"}),
+    ("variance_semimetric", {"kind": "deriv_l2", "order": 3, "method": "bspline",
+                             "knots": 20, "degree": 3}),
+    ("variance_semimetric", {"kind": "deriv_l2", "order": 3, "method": "bspline",
+                             "knots": 0, "degree": 3}),
+    ("variance_semimetric", {"kind": "deriv_l2", "order": 3, "method": "bspline",
+                             "knots": 0, "degree": 5}),
     ("h_m", "abc"),
     ("self_inclusion", "bogus"),
     ("kernel", "bogus"),

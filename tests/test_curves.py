@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -169,6 +171,46 @@ def test_responses_csv_roundtrip_is_exact(tmp_path):
     path = tmp_path / "y.csv"
     write_responses_csv(path, y)
     assert np.array_equal(read_responses_csv(path), y)
+
+
+def test_edge_floats_round_trip_bit_for_bit(tmp_path):
+    edge = np.array([-0.0, 5e-324, 2.5e-07, 1e-05, 1 / 3, 1e22, 1.7976931348623157e308])
+    cs = CurveSet(Grid(edge), np.vstack([edge, -edge[::-1]]))
+    write_curves_csv(tmp_path / "c.csv", cs)
+    back = read_curves_csv(tmp_path / "c.csv")
+    assert back.grid.points.tobytes() == edge.tobytes()
+    assert back.values.tobytes() == cs.values.tobytes()
+    write_responses_csv(tmp_path / "y.csv", edge)
+    assert read_responses_csv(tmp_path / "y.csv").tobytes() == edge.tobytes()
+
+
+def test_a_failed_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.csv"
+    write_curves_csv(path, CurveSet(uniform_grid(5), np.arange(10.0).reshape(2, 5)))
+    before = path.read_bytes()
+    real = csv.writer
+
+    class FailsAfterOneRow:
+        def __init__(self, f):
+            self.writer, self.rows = real(f), 0
+
+        def writerow(self, row):
+            if self.rows:
+                raise OSError("disk full")
+            self.rows += 1
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", FailsAfterOneRow)
+    with pytest.raises(OSError, match="disk full"):
+        write_curves_csv(path, CurveSet(uniform_grid(5), np.ones((3, 5))))
+    with pytest.raises(OSError, match="disk full"):
+        write_responses_csv(path, np.ones(3))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]  # no temporary file left
 
 
 def test_curves_csv_rejects_bad_header(tmp_path):

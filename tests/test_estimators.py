@@ -267,6 +267,10 @@ def test_variance_validation():
     with pytest.raises(ValueError):
         fit_variance("residual", fit, SPEC0, bandwidth=1.0,
                      pseudo_responses=np.ones(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_variance("direct", fit, SPEC0, bandwidth=1.0,
+                         pseudo_responses=np.r_[1.0, 1.0, 1.0, bad])
     # every method checks the mode, also where it computes no residuals
     with pytest.raises(ValueError):
         fit_variance("direct", fit, SPEC0, bandwidth=1.0, self_inclusion="bogus")
@@ -482,6 +486,9 @@ def test_cv_validation():
         cv_bandwidth(cs, y, SPEC0, "quadratic", [-1.0])
     with pytest.raises(ValueError):
         cv_bandwidth(cs, y[:2], SPEC0, "quadratic", [1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cv_bandwidth(cs, np.r_[y[:3], bad], SPEC0, "quadratic", [1.0])
 
 
 def test_default_grid_quantiles_match_sort_oracle():

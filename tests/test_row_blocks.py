@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,24 @@ def test_a_pass_below_the_threshold_runs_inline(monkeypatch):
     monkeypatch.setattr(blocks, "_shared_pool", lambda: used.append(1) or pool())
     assert_array_equal(pairwise_from_features(f, f, np.ones(3)), squareform(pdist(f)))
     assert used
+
+
+def test_a_failed_block_raises_once_every_block_has_finished(monkeypatch):
+    monkeypatch.setattr(blocks, "inline", lambda cells: False)  # the pool, on any CPUs
+    finished = []
+
+    def fn(lo, hi):
+        if lo == 0:
+            raise KeyError("first block")
+        time.sleep(0.3)
+        finished.append(lo)
+        if lo == 2:
+            raise ValueError("last block")
+
+    # block 0's error, though block 2 raises one too
+    with pytest.raises(KeyError):
+        blocks.run(fn, [(0, 1), (1, 2), (2, 3)], blocks.MIN_CELLS)
+    assert sorted(finished) == [1, 2]
 
 
 def test_row_blocks_cover_the_rows_in_aligned_ranges():

@@ -37,6 +37,12 @@ def test_spec_validation():
         SemiMetricSpec.deriv_l2(deriv_method="wavelet")
     with pytest.raises(ValueError):
         SemiMetricSpec.pca_projection(dim=0)
+    with pytest.raises(ValueError, match="degree 3 must exceed derivative order 3"):
+        SemiMetricSpec.deriv_l2(order=3, deriv_method="bspline", degree=3)
+    with pytest.raises(ValueError, match="interior knot"):
+        SemiMetricSpec.deriv_l2(order=1, deriv_method="bspline", knots=0)
+    # order 0 never fits a spline
+    SemiMetricSpec.deriv_l2(order=0, deriv_method="bspline", knots=0, degree=0)
 
 
 def test_config_roundtrip():
