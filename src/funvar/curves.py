@@ -12,7 +12,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -142,14 +142,13 @@ def _check_spline(order: int, knots: int, degree: int) -> None:
         raise ValueError("need at least one interior knot")
 
 
-def _spline_derivative(
-    grid: Grid, values: np.ndarray, order: int, knots: int, degree: int
-) -> np.ndarray:
-    """Least-squares spline fit on quantile knots; returns the analytic
-    derivative of the fitted spline evaluated back on grid points.
-
-    ``values`` is (T, n), one curve per column; the derivative keeps that
-    shape.
+@lru_cache(maxsize=8)
+def _spline_operator(grid: Grid, order: int, knots: int, degree: int) -> np.ndarray:
+    """The T x T matrix D that takes a curve's samples to the analytic
+    order-``order`` derivative, on grid points, of its least-squares spline
+    on quantile knots: the fit is linear in the samples, so D is the fit of
+    the identity. Computed once per (grid, order, knots, degree) and stored
+    read-only, since threads share it.
     """
     _check_spline(order, knots, degree)
     if knots + degree + 1 > grid.size:
@@ -159,13 +158,14 @@ def _spline_derivative(
         )
     t = _spline_knots(grid.points, knots, degree)
     try:
-        spl = make_lsq_spline(grid.points, values, t, k=degree)
+        spl = make_lsq_spline(grid.points, np.eye(grid.size), t, k=degree)
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise ValueError(f"rank-deficient spline design (too many knots?): {exc}")
-    out = spl.derivative(order)(grid.points)
-    if not np.all(np.isfinite(out)):
+    op = spl.derivative(order)(grid.points)
+    if not np.all(np.isfinite(op)):
         raise ValueError("rank-deficient spline design produced non-finite values")
-    return out
+    op.flags.writeable = False
+    return op
 
 
 def derivative(
@@ -213,8 +213,10 @@ def derivative_set(
             vals = np.gradient(vals, cs.grid.points, axis=1, edge_order=1)
         return CurveSet(cs.grid, vals)
     if method == "bspline":
-        vals = _spline_derivative(cs.grid, cs.values.T, order, knots, degree)
-        return CurveSet(cs.grid, vals.T)
+        op = _spline_operator(cs.grid, order, knots, degree)
+        # einsum rather than the BLAS product, whose summation order follows
+        # the BLAS thread count
+        return CurveSet(cs.grid, np.einsum("ij,kj->ik", cs.values, op))
     raise ValueError(f"unknown derivative method {method!r}")
 
 
@@ -276,7 +278,10 @@ def read_curves_csv(path: str | Path) -> CurveSet:
 
 
 def write_responses_csv(path: str | Path, y: np.ndarray) -> None:
-    _write_rows(path, ["y"], ([v] for v in np.asarray(y, dtype=float).tolist()))
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):  # read_responses_csv would refuse the file
+        raise ValueError("responses must be finite")
+    _write_rows(path, ["y"], ([v] for v in y.tolist()))
 
 
 def read_responses_csv(path: str | Path) -> np.ndarray:

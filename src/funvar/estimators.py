@@ -60,7 +60,6 @@ class TrainedMetric:
                 raise ValueError("expected the self-distance matrix of the training curves")
         self._spec = spec
         self.train = train
-        self.weights = feature_weights(spec, train.grid)
         self._features = None
         self._dist = dist
         self._grids: dict[int, np.ndarray] = {}
@@ -98,6 +97,12 @@ class TrainedMetric:
         if not self._spec.trained:
             self._spec = train_projection(self._spec, self.train)
         return self._spec
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-feature weights of the distances; not built up front, since
+        given distances never need them."""
+        return feature_weights(self._spec, self.train.grid)
 
     @property
     def features(self) -> np.ndarray:

@@ -4,20 +4,25 @@ Two families: L2 distance between derivatives of a given order, and
 Euclidean distance between leading principal-component scores. Both are
 symmetric with d(x, x) = 0; neither needs to separate distinct curves.
 
-Distances are computed through per-curve feature vectors (derivative
-samples weighted by trapezoid quadrature, or projection scores), which the
-estimators cache so repeated predictions stay cheap.
+Distances are computed through per-curve feature vectors, which the
+estimators cache so repeated predictions stay cheap. Finite-difference and
+order-0 derivatives are compared as samples weighted by trapezoid
+quadrature. A B-spline derivative of order >= 1 is a fixed linear map of
+the samples, so its distance is taken exactly in that map's rank: the
+features are the samples times a T x r matrix P (r = 23 for order 1, 20
+knots, degree 3) with unit weights, as projection scores are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import _blocks
-from .curves import Curve, CurveSet, Grid, _check_spline, derivative_set
+from .curves import Curve, CurveSet, Grid, _check_spline, _spline_operator, derivative_set
 
 SEMIMETRIC_KINDS = ("deriv_l2", "pca_projection")
 DERIV_METHODS = ("finite_diff", "bspline")
@@ -135,9 +140,40 @@ def train_projection(spec: SemiMetricSpec, train: CurveSet) -> SemiMetricSpec:
     return replace(spec, basis=sqrt_w[:, None] * top)
 
 
+@lru_cache(maxsize=8)
+def _spline_features(grid: Grid, order: int, knots: int, degree: int) -> np.ndarray:
+    """The T x r matrix P with ||(v_a - v_b) P|| the trapezoid L2 distance
+    between the B-spline derivatives of curves with samples v_a and v_b.
+
+    That distance is ||(v_a - v_b) D' sqrt(W)|| for the spline operator D
+    and the quadrature weights W; with the SVD D' sqrt(W) = U S V', P is
+    U S over the singular values above the rank tolerance of
+    ``np.linalg.matrix_rank``. Computed once per (grid, order, knots,
+    degree) and stored read-only, since threads share it.
+    """
+    m = _spline_operator(grid, order, knots, degree).T * np.sqrt(grid.trapezoid_weights)
+    u, s, _ = np.linalg.svd(m)
+    keep = s > s[0] * grid.size * np.finfo(float).eps
+    p = u[:, keep] * s[keep]
+    p.flags.writeable = False
+    return p
+
+
+def _spline_map(spec: SemiMetricSpec, grid: Grid) -> np.ndarray | None:
+    """:func:`_spline_features` of a B-spline derivative spec of order >= 1;
+    None for any other spec."""
+    if spec.kind != "deriv_l2" or spec.deriv_method != "bspline" or spec.order == 0:
+        return None
+    return _spline_features(grid, spec.order, spec.knots, spec.degree)
+
+
 def feature_matrix(spec: SemiMetricSpec, cs: CurveSet) -> np.ndarray:
     """Per-curve feature vectors; distances are weighted L2 between rows."""
     if spec.kind == "deriv_l2":
+        p = _spline_map(spec, cs.grid)
+        if p is not None:
+            # einsum, as in train_projection: no dependence on the BLAS threads
+            return np.einsum("ij,jk->ik", cs.values, p)
         return derivative_set(
             cs, spec.order, spec.deriv_method, knots=spec.knots, degree=spec.degree
         ).values
@@ -149,9 +185,10 @@ def feature_matrix(spec: SemiMetricSpec, cs: CurveSet) -> np.ndarray:
 
 
 def feature_weights(spec: SemiMetricSpec, grid: Grid) -> np.ndarray:
-    if spec.kind == "deriv_l2":
-        return grid.trapezoid_weights
-    return np.ones(spec.dim)
+    if spec.kind == "pca_projection":
+        return np.ones(spec.dim)
+    p = _spline_map(spec, grid)
+    return grid.trapezoid_weights if p is None else np.ones(p.shape[1])
 
 
 def pairwise_from_features(

@@ -397,8 +397,8 @@ def test_inputs_are_never_modified(tmp_path):
     assert before == after
 
 
-@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
-def test_pca_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
+def blas_thread_outputs(tmp_path, *fit_flags):
+    """model.json and predictions.csv of fit and predict at 1 and 2 BLAS threads."""
     for stem, n, stream in (("train", 700, 0), ("query", 1500, 1)):
         assert run("--seed", 21, "--output-dir", tmp_path, "simulate", "--example", "ex2",
                    "--n", n, "--stream", stream, "--stem", stem) == 0
@@ -410,12 +410,26 @@ def test_pca_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
         out = tmp_path / f"threads{threads}"
         for argv in (
             ["fit", "--curves", tmp_path / "train_curves.csv",
-             "--responses", tmp_path / "train_responses.csv",
-             "--semimetric", "pca_projection", "--dim", 3, "--method", "direct"],
+             "--responses", tmp_path / "train_responses.csv", *fit_flags,
+             "--method", "direct"],
             ["predict", "--model", out / "model.json", "--curves", tmp_path / "query_curves.csv"],
         ):
             subprocess.run([sys.executable, "-m", "funvar.cli", "--output-dir", str(out),
                             *map(str, argv)], env=env, check=True, capture_output=True)
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(outputs[0]) == ["model.json", "predictions.csv"]
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_pca_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
+    one, two = blas_thread_outputs(tmp_path, "--semimetric", "pca_projection", "--dim", 3)
+    assert one == two
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_bspline_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the spline map P comes from a LAPACK SVD and its products from einsum
+    one, two = blas_thread_outputs(tmp_path, "--deriv-method", "bspline", "--order", 1,
+                                   "--v-order", 0)
+    assert one == two

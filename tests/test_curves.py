@@ -3,11 +3,13 @@ import csv
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import make_lsq_spline
 
 from funvar.curves import (
     Curve,
     CurveSet,
     Grid,
+    _spline_knots,
     derivative,
     derivative_set,
     integrate,
@@ -137,6 +139,19 @@ def test_bspline_rejects_too_few_points():
         derivative(c, 1, method="bspline", knots=20, degree=3)
 
 
+def test_bspline_derivative_matches_a_direct_spline_fit():
+    # the cached operator against fitting the curves themselves
+    rng = np.random.default_rng(7)
+    g = Grid(np.sort(np.r_[-1.0, 1.0, rng.uniform(-1, 1, 48)]))
+    cs = CurveSet(g, np.sin(3 * g.points) + 0.2 * rng.standard_normal((6, 50)))
+    for order, degree in ((1, 3), (2, 5)):
+        spl = make_lsq_spline(g.points, cs.values.T, _spline_knots(g.points, 12, degree),
+                              k=degree)
+        expect = spl.derivative(order)(g.points).T
+        got = derivative_set(cs, order, "bspline", knots=12, degree=degree).values
+        assert_allclose(got, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
+
+
 def test_derivative_unknown_method():
     g = uniform_grid(8)
     with pytest.raises(ValueError):
@@ -244,6 +259,14 @@ def test_curves_csv_rejects_missing_or_malformed_rows(tmp_path, body):
     path.write_text("t,0.0,1.0\n" + body)
     with pytest.raises(ValueError):
         read_curves_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_responses_are_never_written(tmp_path, bad):
+    path = tmp_path / "y.csv"
+    with pytest.raises(ValueError, match="responses must be finite"):
+        write_responses_csv(path, [1.0, bad])
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
 
 
 def test_responses_csv_rejects_bad_header(tmp_path):

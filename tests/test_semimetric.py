@@ -2,9 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from funvar.curves import Curve, CurveSet, Grid, uniform_grid
+from funvar.cli import EXIT_COMPUTE
+from funvar.cli import main as cli_main
+from funvar.curves import (
+    Curve,
+    CurveSet,
+    Grid,
+    _spline_operator,
+    derivative,
+    integrate,
+    uniform_grid,
+    write_curves_csv,
+    write_responses_csv,
+)
 from funvar.semimetric import (
     SemiMetricSpec,
+    _spline_features,
     distance,
     distance_matrix,
     feature_matrix,
@@ -216,3 +229,72 @@ def test_feature_weights_shapes():
     assert feature_weights(spec_d, cs.grid).shape == (cs.grid.size,)
     spec_p = train_projection(SemiMetricSpec.pca_projection(dim=2), cs)
     assert_allclose(feature_weights(spec_p, cs.grid), np.ones(2))
+
+
+def spline_curves(n, seed):
+    """Smooth curves plus noise on a non-uniform grid of 41 points."""
+    rng = np.random.default_rng(seed)
+    g = Grid(np.sort(np.r_[-1.0, 1.0, rng.uniform(-1, 1, 39)]))
+    freq = rng.uniform(0.5, 4.0, (n, 1))
+    vals = np.sin(freq * g.points) + 0.3 * rng.standard_normal((n, g.size))
+    return CurveSet(g, vals)
+
+
+@pytest.mark.parametrize("order, degree", [(1, 3), (2, 3), (1, 5), (2, 5)])
+def test_bspline_distances_match_a_loop_over_derivatives(order, degree):
+    a, b = spline_curves(9, seed=40), spline_curves(9, seed=40).subset(slice(4, 9))
+    spec = SemiMetricSpec.deriv_l2(order, "bspline", knots=10, degree=degree)
+
+    def loop(x, y):
+        dx = [derivative(c, order, "bspline", knots=10, degree=degree) for c in x]
+        dy = [derivative(c, order, "bspline", knots=10, degree=degree) for c in y]
+        return np.array([[np.sqrt(integrate(Curve(x.grid, (u.values - v.values) ** 2)))
+                          for v in dy] for u in dx])
+
+    assert_allclose(distance_matrix(spec, a, b), loop(a, b), rtol=1e-10, atol=0)
+    d = distance_matrix(spec, a)
+    off = ~np.eye(len(a), dtype=bool)
+    assert_allclose(d[off], loop(a, a)[off], rtol=1e-10, atol=0)
+    assert np.array_equal(d, d.T)
+    assert (np.diag(d) == 0.0).all()
+    # identical curves, in two sets, are exactly 0 apart
+    assert (distance_matrix(spec, a.subset([3, 3]), a.subset([3]))[:, 0] == 0.0).all()
+
+
+@pytest.mark.parametrize("order, degree, rank", [(1, 3, 13), (2, 3, 12), (1, 5, 15)])
+def test_bspline_features_have_the_rank_of_the_spline_derivative(order, degree, rank):
+    # knots + degree + 1 coefficients, less the polynomials of degree < order
+    cs = spline_curves(5, seed=41)
+    spec = SemiMetricSpec.deriv_l2(order, "bspline", knots=10, degree=degree)
+    assert feature_matrix(spec, cs).shape == (5, rank)
+    assert np.array_equal(feature_weights(spec, cs.grid), np.ones(rank))
+
+
+def test_bspline_feature_map_is_cached_once_per_equal_grid_and_read_only():
+    pts = spline_curves(1, seed=42).grid.points
+    g1, g2 = Grid(pts), Grid(pts.copy())
+    assert g1 is not g2
+    p1 = _spline_features(g1, 1, 10, 3)
+    hits = _spline_features.cache_info().hits
+    assert _spline_features(g2, 1, 10, 3) is p1
+    assert _spline_features.cache_info().hits == hits + 1
+    assert not p1.flags.writeable
+    assert not _spline_operator(g1, 1, 10, 3).flags.writeable
+
+
+def test_bspline_grid_too_short_keeps_its_message_and_exit_code(tmp_path, capsys):
+    message = "20 knots with degree 3 need at least 24 grid points, got 21"
+    cs = random_curves(4, size=21, seed=43)
+    spec = SemiMetricSpec.deriv_l2(1, "bspline")
+    for call in (lambda: feature_matrix(spec, cs), lambda: feature_weights(spec, cs.grid),
+                 lambda: distance_matrix(spec, cs)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    curves_f, resp_f = tmp_path / "c.csv", tmp_path / "y.csv"
+    write_curves_csv(curves_f, cs)
+    write_responses_csv(resp_f, np.arange(4.0))
+    code = cli_main(["--output-dir", str(tmp_path / "out"), "fit", "--curves", str(curves_f),
+                     "--responses", str(resp_f), "--deriv-method", "bspline",
+                     "--order", "1", "--grid-size", "3"])
+    assert code == EXIT_COMPUTE == 4
+    assert message in capsys.readouterr().err

@@ -13,6 +13,8 @@ with its time per layer, and beside it each layer's median over the
 ``REPEATS`` runs. A layer's time is the time spent in these functions,
 found by identity in every ``funvar`` module and wrapped for the run:
 
+* ``features``: ``semimetric.feature_matrix`` (derivatives, spline or
+  projection features of the training and query curves);
 * ``distances``: ``semimetric.pairwise_from_features``;
 * ``grid``: ``estimators.default_bandwidth_grid``;
 * ``binning``: ``estimators.PairBins.__init__`` (null in a tree without it,
@@ -58,6 +60,7 @@ CLI_QUERIES = 5000
 CLI_FIT_FLAGS = ("--deriv-method", "bspline", "--order", "1", "--v-order", "0",
                  "--method", "direct")
 LAYERS = {
+    "features": ("semimetric", "feature_matrix"),
     "distances": ("semimetric", "pairwise_from_features"),
     "grid": ("estimators", "default_bandwidth_grid"),
     "binning": ("estimators", "PairBins.__init__"),
