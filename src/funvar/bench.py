@@ -333,7 +333,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda r: run_replication(cfg, r), reps))
-    records.sort(key=lambda rec: rec.rep)
     n_failed = sum(rec.failed for rec in records)
     if n_failed > 0.2 * cfg.n_reps:
         lines = [
@@ -358,7 +357,6 @@ def convergence_check(
     n_reps: int,
     base_seed: int,
     threads: int = 1,
-    **config_kwargs,
 ) -> list[dict]:
     """Median residual-method MSE at each sample size, same seeds throughout.
 
@@ -377,7 +375,6 @@ def convergence_check(
             n_reps=n_reps,
             base_seed=base_seed,
             methods=("residual",),
-            **config_kwargs,
         )
         report = run_experiment(cfg, threads=threads)
         rows.append(

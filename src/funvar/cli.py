@@ -446,10 +446,7 @@ def dispatch(args) -> int:
     """Run a parsed command, mapping failures to the documented exit codes."""
     try:
         return _COMMANDS[args.command](args)
-    except CliIoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (CliIoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BandwidthSelectionError, EmptyNeighborhoodError, ExperimentAbortError,

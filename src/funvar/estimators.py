@@ -17,7 +17,7 @@ from scipy.spatial.distance import squareform
 
 from . import _blocks
 from .curves import Curve, CurveSet
-from .kernels import POLICY_FALLBACK, _nearest, kernel_power, weight_matrix
+from .kernels import POLICY_FALLBACK, WEIGHT_POLICIES, _nearest, kernel_power, weight_matrix
 from .semimetric import (
     SemiMetricSpec,
     feature_matrix,
@@ -67,30 +67,22 @@ class TrainedMetric:
 
     @classmethod
     def of(cls, spec: SemiMetricSpec | TrainedMetric, train: CurveSet,
-           dist: np.ndarray | None = None,
            near: Iterable[TrainedMetric] = ()) -> TrainedMetric:
         """The metric an estimator on ``train`` runs on.
 
-        A TrainedMetric ``spec`` is that metric; it must be on the curves
-        ``train`` and come without a ``dist`` (ValueError otherwise). A plain
-        spec runs on ``dist`` when given, else on the first of the metrics
-        ``near``, already built on the same curves, that :meth:`runs` it,
-        else on a new metric.
+        A TrainedMetric ``spec`` is that metric and must be on the curves
+        ``train`` (ValueError otherwise). A plain spec runs on the first of
+        the metrics ``near``, already built on the same curves, that
+        :meth:`runs` it, else on a new metric.
         """
         if isinstance(spec, TrainedMetric):
-            if dist is not None:
-                raise ValueError("a TrainedMetric carries its own distances; drop dist")
             if spec.train is not train and not (
                 spec.train.grid == train.grid
                 and np.array_equal(spec.train.values, train.values)
             ):
                 raise ValueError("the TrainedMetric is on other training curves")
             return spec
-        if dist is None:
-            shared = next((m for m in near if m.runs(spec)), None)
-            if shared is not None:
-                return shared
-        return cls(spec, train, dist)
+        return next((m for m in near if m.runs(spec)), None) or cls(spec, train)
 
     @property
     def spec(self) -> SemiMetricSpec:
@@ -153,6 +145,15 @@ class TrainedMetric:
         return spec.basis is None or np.array_equal(spec.basis, self.spec.basis)
 
 
+def _check_smoother(kernel: str, bandwidth: float, policy: str) -> None:
+    """Refuse a fit's kernel, bandwidth or policy before it is frozen."""
+    kernel_power(kernel)
+    if policy not in WEIGHT_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
+
+
 def _smooth(
     fit, dist: np.ndarray, values: np.ndarray, exclude_diag: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,14 +197,13 @@ def fit_mean(
     kernel: str = "quadratic",
     bandwidth: float = 1.0,
     policy: str = POLICY_FALLBACK,
-    dist: np.ndarray | None = None,
 ) -> MeanFit:
     """Freeze a Nadaraya-Watson mean fit.
 
-    ``spec`` and ``dist`` give the metric as :meth:`TrainedMetric.of` does:
-    a :class:`TrainedMetric` on ``train``, whose cached features and
-    distances the fit then shares, or a plain spec with, optionally, its
-    precomputed self-distance matrix (e.g. shared with bandwidth selection).
+    ``spec`` gives the metric as :meth:`TrainedMetric.of` does: a
+    :class:`TrainedMetric` on ``train``, whose cached features and
+    distances the fit then shares (e.g. with bandwidth selection), or a
+    plain spec.
     """
     y = np.asarray(y, dtype=float)
     n = len(train)
@@ -213,10 +213,8 @@ def fit_mean(
         raise ValueError("need at least 2 training curves")
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
-    if not 0 < bandwidth < np.inf:
-        raise ValueError("bandwidth must be positive and finite")
-    return MeanFit(TrainedMetric.of(spec, train, dist), y, kernel, float(bandwidth),
-                   policy)
+    _check_smoother(kernel, bandwidth, policy)
+    return MeanFit(TrainedMetric.of(spec, train), y, kernel, float(bandwidth), policy)
 
 
 def predict_mean(fit: MeanFit, x: Curve) -> Prediction:
@@ -297,25 +295,23 @@ def fit_variance(
     self_inclusion: str = "include_self",
     policy: str | None = None,
     pseudo_responses=None,
-    dist: np.ndarray | None = None,
 ) -> VarianceFit:
     """Freeze a variance fit on top of a mean fit.
 
     Pseudo-responses default to squared residuals of ``mean_fit``
     (residual method) or squared responses (direct method);
     ``pseudo_responses`` overrides them, e.g. with squared errors around a
-    known mean function. ``spec`` and ``dist`` give the metric as
-    :meth:`TrainedMetric.of` does; without a ``dist``, a plain ``spec`` that
-    the mean fit's metric :meth:`~TrainedMetric.runs` shares that metric.
+    known mean function. ``spec`` gives the metric as
+    :meth:`TrainedMetric.of` does; a plain ``spec`` that the mean fit's
+    metric :meth:`~TrainedMetric.runs` shares that metric.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown variance method {method!r}")
     if self_inclusion not in SELF_INCLUSION_MODES:
         raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
-    if not 0 < bandwidth < np.inf:
-        raise ValueError("bandwidth must be positive and finite")
     kernel = mean_fit.kernel if kernel is None else kernel
     policy = mean_fit.policy if policy is None else policy
+    _check_smoother(kernel, bandwidth, policy)
     pseudo = np.asarray(
         pseudo_responses if pseudo_responses is not None
         else squared_residuals(mean_fit, self_inclusion)[0] if method == "residual"
@@ -326,7 +322,7 @@ def fit_variance(
         raise ValueError("pseudo-responses must be finite")
     if method == "residual" and np.any(pseudo < 0):
         raise ValueError("residual pseudo-responses must be nonnegative")
-    metric = TrainedMetric.of(spec, mean_fit.train, dist, near=(mean_fit.metric,))
+    metric = TrainedMetric.of(spec, mean_fit.train, near=(mean_fit.metric,))
     return VarianceFit(method, mean_fit, metric, kernel, float(bandwidth), policy,
                        self_inclusion, pseudo)
 
@@ -414,7 +410,6 @@ def cv_bandwidth(
     spec: SemiMetricSpec | TrainedMetric,
     kernel: str,
     candidates,
-    dist: np.ndarray | None = None,
     fallback_threshold: float = 0.1,
 ) -> CvResult:
     """Pick a bandwidth by leave-one-out cross-validation.
@@ -423,7 +418,7 @@ def cv_bandwidth(
     every response from all other points. Candidates whose nearest-neighbor
     fallback rate exceeds ``fallback_threshold`` are disqualified; the
     winner is the qualified candidate with the smallest score (smallest
-    bandwidth on ties). ``spec`` and ``dist`` give the metric as
+    bandwidth on ties). ``spec`` gives the metric as
     :meth:`TrainedMetric.of` does; a :class:`TrainedMetric`'s cached
     :class:`PairBins` are reused.
     """
@@ -439,7 +434,7 @@ def cv_bandwidth(
         raise ValueError("responses must be finite")
     by_h = np.argsort(cand, kind="stable")
     hs = cand[by_h]
-    bins = TrainedMetric.of(spec, train, dist).pair_bins(kernel, hs)
+    bins = TrainedMetric.of(spec, train).pair_bins(kernel, hs)
     err = resp[:, None] - bins.loo_fits(resp)
     scores = np.empty(cand.size)
     fb_rates = np.empty(cand.size)

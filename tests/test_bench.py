@@ -21,6 +21,7 @@ from funvar.bench import (
 from funvar.curves import CurveSet, uniform_grid, write_curves_csv, write_responses_csv
 from funvar.estimators import (
     BandwidthSelectionError,
+    TrainedMetric,
     cv_bandwidth,
     default_bandwidth_grid,
     fit_mean,
@@ -110,22 +111,23 @@ def test_replication_matches_manually_scripted_pipeline():
     ds = gen_dataset(SimSpec("ex2", 40, 3, 1))
     spec = design_default_spec("ex2")
     dist = distance_matrix(spec, ds.curves)
+    metric = TrainedMetric(spec, ds.curves, dist)
     grid = default_bandwidth_grid(dist, 12)
-    cv_m = cv_bandwidth(ds.curves, ds.y, spec, "quadratic", grid, dist=dist)
+    cv_m = cv_bandwidth(ds.curves, ds.y, metric, "quadratic", grid)
     assert rec.h_m == cv_m.bandwidth
-    mfit = fit_mean(ds.curves, ds.y, spec, "quadratic", cv_m.bandwidth,
-                    POLICY_FALLBACK, dist=dist)
+    mfit = fit_mean(ds.curves, ds.y, metric, "quadratic", cv_m.bandwidth,
+                    POLICY_FALLBACK)
     pseudo, _ = squared_residuals(mfit, "include_self")
-    cv_r = cv_bandwidth(ds.curves, pseudo, spec, "quadratic", grid, dist=dist)
-    vfit = fit_variance("residual", mfit, spec, bandwidth=cv_r.bandwidth,
-                        pseudo_responses=pseudo, dist=dist)
+    cv_r = cv_bandwidth(ds.curves, pseudo, metric, "quadratic", grid)
+    vfit = fit_variance("residual", mfit, metric, bandwidth=cv_r.bandwidth,
+                        pseudo_responses=pseudo)
     v_hat, _, _ = predict_variance_insample(vfit)
     assert rec.h_v["residual"] == cv_r.bandwidth
     assert rec.mse["residual"] == discrete_mse(v_hat, ds.v_true)
 
-    cv_d = cv_bandwidth(ds.curves, ds.y**2, spec, "quadratic", grid, dist=dist)
-    vdir = fit_variance("direct", mfit, spec, bandwidth=cv_d.bandwidth,
-                        pseudo_responses=ds.y**2, dist=dist)
+    cv_d = cv_bandwidth(ds.curves, ds.y**2, metric, "quadratic", grid)
+    vdir = fit_variance("direct", mfit, metric, bandwidth=cv_d.bandwidth,
+                        pseudo_responses=ds.y**2)
     d_hat, _, _ = predict_variance_insample(vdir)
     assert rec.h_v["direct"] == cv_d.bandwidth
     assert rec.mse["direct"] == discrete_mse(d_hat, ds.v_true)
@@ -325,11 +327,12 @@ def test_chemo_matches_manually_scripted_pipeline(tmp_path):
     val = curves.subset(np.arange(n_train, n))
     spec_m = cfg.semimetric(1)
     dist_m = distance_matrix(spec_m, train)
+    metric_m = TrainedMetric(spec_m, train, dist_m)
     grid_m = default_bandwidth_grid(dist_m, 10)
-    cv_m = cv_bandwidth(train, y[:n_train], spec_m, "quadratic", grid_m, dist=dist_m)
+    cv_m = cv_bandwidth(train, y[:n_train], metric_m, "quadratic", grid_m)
     assert report.h_m == cv_m.bandwidth
-    mfit = fit_mean(train, y[:n_train], spec_m, "quadratic", cv_m.bandwidth,
-                    POLICY_FALLBACK, dist=dist_m)
+    mfit = fit_mean(train, y[:n_train], metric_m, "quadratic", cv_m.bandwidth,
+                    POLICY_FALLBACK)
     m_val, _ = predict_mean_set(mfit, val)
     r_val = (y[n_train:] - m_val) ** 2
     assert_array_equal(report.r_hat, r_val)
@@ -338,11 +341,12 @@ def test_chemo_matches_manually_scripted_pipeline(tmp_path):
     for order in (0, 1):
         spec_v = cfg.semimetric(order)
         dist_v = distance_matrix(spec_v, train)
+        metric_v = TrainedMetric(spec_v, train, dist_v)
         grid_v = default_bandwidth_grid(dist_v, 10)
-        cv_v = cv_bandwidth(train, pseudo, spec_v, "quadratic", grid_v, dist=dist_v)
+        cv_v = cv_bandwidth(train, pseudo, metric_v, "quadratic", grid_v)
         assert report.h_v[order] == cv_v.bandwidth
-        vfit = fit_variance("residual", mfit, spec_v, bandwidth=cv_v.bandwidth,
-                            pseudo_responses=pseudo, dist=dist_v)
+        vfit = fit_variance("residual", mfit, metric_v, bandwidth=cv_v.bandwidth,
+                            pseudo_responses=pseudo)
         v_hat, _, _ = predict_variance_set(vfit, val)
         assert report.val_mse[order] == discrete_mse(v_hat, r_val)
         if order == report.chosen_order:

@@ -279,6 +279,24 @@ def test_variance_validation():
                      pseudo_responses=np.ones(4))
 
 
+@pytest.mark.parametrize("stage", ["mean", "variance"])
+@pytest.mark.parametrize("bad, match", [
+    ({"kernel": "bogus"}, "unknown kernel 'bogus'"),
+    ({"policy": "nope"}, "unknown policy 'nope'"),
+], ids=["kernel", "policy"])
+def test_fits_reject_an_unknown_kernel_or_policy(stage, bad, match):
+    # refused when the fit is frozen, not first at prediction
+    cs, y = random_instance(6, 32)
+    if stage == "mean":
+        with pytest.raises(ValueError, match=match):
+            fit_mean(cs, y, SPEC0, bandwidth=1.0, **bad)
+        return
+    fit = fit_mean(cs, y, SPEC0, bandwidth=1.0)
+    for method in ("residual", "direct"):
+        with pytest.raises(ValueError, match=match):
+            fit_variance(method, fit, SPEC0, bandwidth=1.0, **bad)
+
+
 def test_known_mean_injection_reproduces_plain_smoothing():
     # with the true mean injected, the residual estimate is exactly the
     # kernel smooth of the injected pseudo-responses
@@ -422,7 +440,8 @@ def test_cv_sweep_matches_loo_oracle_on_edge_cases(kernel):
     tiny = 0.5 * float(d[d > 0].min())  # every row without a duplicate falls back
     # unsorted, with a duplicate, and the smallest candidate not first
     cands = [grid[5], tiny, grid[0], grid[2], grid[5], grid[-1], grid[1]]
-    res = cv_bandwidth(cs, y, SPEC0, kernel, cands, dist=d, fallback_threshold=1.0)
+    res = cv_bandwidth(cs, y, TrainedMetric(SPEC0, cs, d), kernel, cands,
+                       fallback_threshold=1.0)
     n = len(y)
     scores, fb_rates = [], []
     for k, h in enumerate(cands):
@@ -443,9 +462,9 @@ def test_cv_uniform_kernel_counts_a_pair_at_d_equal_h():
     d = distance_matrix(SPEC0, cs)
     h = float(d[0, 1])
     assert d[1, 2] == h
-    uni = cv_bandwidth(cs, y, SPEC0, "uniform", [h], dist=d)
-    quad = cv_bandwidth(cs, y, SPEC0, "quadratic", [h], dist=d,
-                        fallback_threshold=1.0)
+    metric = TrainedMetric(SPEC0, cs, d)
+    uni = cv_bandwidth(cs, y, metric, "uniform", [h])
+    quad = cv_bandwidth(cs, y, metric, "quadratic", [h], fallback_threshold=1.0)
     for res, kind in ((uni, "uniform"), (quad, "quadratic")):
         score, n_fb = oracles.loo_cv_score(d.tolist(), y, h, kind)
         assert res.scores[0] == pytest.approx(score, abs=1e-12)
@@ -468,14 +487,9 @@ def test_cv_rejects_unknown_kernel_and_misshapen_distances():
     with pytest.raises(ValueError):
         cv_bandwidth(cs, y, SPEC0, "gaussian", [1.0])
     d = distance_matrix(SPEC0, cs)
-    fit = fit_mean(cs, y, SPEC0)
     for bad in (d[:3], d[:, :3], np.vstack([d, d[:1]])):
-        with pytest.raises(ValueError):
-            cv_bandwidth(cs, y, SPEC0, "quadratic", [1.0], dist=bad)
         with pytest.raises(ValueError, match="self-distance matrix"):
-            fit_mean(cs, y, SPEC0, dist=bad)
-        with pytest.raises(ValueError, match="self-distance matrix"):
-            fit_variance("direct", fit, SPEC0, dist=bad)
+            TrainedMetric(SPEC0, cs, bad)
 
 
 def test_cv_validation():
@@ -570,16 +584,6 @@ def test_a_metric_on_other_curves_is_rejected():
     same = CurveSet(a.grid, a.values.copy())
     assert fit_mean(same, ya, fit.metric).metric is fit.metric
     assert fit_variance("direct", fit, fit.metric).metric is fit.metric
-
-
-def test_fits_reject_a_dist_beside_a_trained_metric():
-    cs, y = random_instance(12, 55)
-    metric = TrainedMetric(SPEC0, cs)
-    with pytest.raises(ValueError, match="own distances"):
-        fit_mean(cs, y, metric, dist=metric.dist)
-    fit = fit_mean(cs, y, metric)
-    with pytest.raises(ValueError, match="own distances"):
-        fit_variance("residual", fit, metric, dist=metric.dist)
 
 
 @pytest.mark.parametrize("design, n, spec", [

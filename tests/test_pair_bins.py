@@ -311,22 +311,16 @@ def test_cv_with_a_given_dist_never_trains_the_spec():
     cs, y = random_set(30, 7)
     d = distance_matrix(SPEC0, cs)
     hs = default_bandwidth_grid(d, 12)
-    spec = SemiMetricSpec.pca_projection(12)
-    cv = cv_bandwidth(cs, y, spec, "quadratic", hs, dist=d)
+    metric = TrainedMetric(SemiMetricSpec.pca_projection(12), cs, d)
+    cv = cv_bandwidth(cs, y, metric, "quadratic", hs)
     for h, score in zip(hs, cv.scores):
         assert score == pytest.approx(oracles.loo_cv_score(d, y, h, "quadratic")[0], rel=1e-12)
-    # nor do the fits on that dist, nor their in-sample predictions
-    fit = fit_mean(cs, y, spec, bandwidth=cv.bandwidth, dist=d)
+    # nor do the fits on that metric, nor their in-sample predictions
+    fit = fit_mean(cs, y, metric, bandwidth=cv.bandwidth)
     w, _ = weight_matrix(d, cv.bandwidth)
     for method in ("residual", "direct"):
-        vfit = fit_variance(method, fit, spec, bandwidth=cv.bandwidth, dist=d)
+        vfit = fit_variance(method, fit, metric, bandwidth=cv.bandwidth)
         v_hat, _, _ = predict_variance_insample(vfit)
         want = w @ vfit.pseudo - (0.0 if method == "residual" else (w @ y) ** 2)
         assert_allclose(v_hat, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
 
-
-def test_cv_rejects_a_dist_beside_a_trained_metric():
-    cs, y = random_set(30, 7)
-    metric = TrainedMetric(SPEC0, cs)
-    with pytest.raises(ValueError, match="own distances"):
-        cv_bandwidth(cs, y, metric, "quadratic", metric.grid(12), dist=metric.dist)
