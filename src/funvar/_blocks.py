@@ -7,7 +7,9 @@ output. The blocks call only numpy and scipy, whose large calls release
 the GIL, so on several CPUs they run at once on a pool made on first use,
 one thread per usable CPU. A pass of fewer than ``MIN_CELLS`` entries, or
 any pass on a single CPU, runs inline. Block boundaries depend only on
-the shape of the pass, never on the number of threads.
+the shape of the pass, never on the number of threads. Rows that need
+not be in memory at once (the query curves of ``funvar predict``) go
+through in chunks of :func:`chunk_rows` rows, one pass per chunk.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ MIN_CELLS = 1 << 18
 # 1 MB of float64: a block stays in cache, and its numpy calls are long
 # enough for blocks on two threads to overlap
 BLOCK_CELLS = 1 << 17
+# a chunk of rows that a pass streams (4 MB of float64): twice MIN_CELLS,
+# so each chunk's pass still runs on the pool
+CHUNK_CELLS = 2 * MIN_CELLS
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -46,6 +51,15 @@ def row_blocks(n: int, m: int, align: int = 1) -> list[tuple[int, int]]:
     entries of an n x m pass each, starting at multiples of ``align``."""
     rows = max(align, BLOCK_CELLS // max(m, 1) // align * align)
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def chunk_rows(m: int) -> int:
+    """Rows per chunk of a pass over m columns that goes through its rows
+    a chunk at a time: about ``CHUNK_CELLS`` entries, in a multiple of 8
+    rows, so that every chunk starts on a group of 8 rows, as the blocks
+    of ``kernels.weight_matrix`` do, and a row's result does not depend
+    on the chunk it falls in."""
+    return max(8, CHUNK_CELLS // max(m, 1) // 8 * 8)
 
 
 def triangle_blocks(n: int) -> list[tuple[int, int]]:

@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
+from contextlib import closing, contextmanager
+from typing import Iterator
 
 import numpy as np
 
+from ._blocks import chunk_rows
 from .bench import (
     ChemoConfig,
     ExperimentAbortError,
@@ -36,6 +40,7 @@ from .curves import (
     CurveSet,
     _atomic_write,
     _write_rows,
+    iter_curves_csv,
     read_curves_csv,
     read_responses_csv,
     write_curves_csv,
@@ -73,18 +78,28 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
-def _read_curves(path: str) -> CurveSet:
+@contextmanager
+def _reading(what: str, path: str) -> Iterator[None]:
+    """Report a file that cannot be read or parsed as CliIoError."""
     try:
-        return read_curves_csv(path)
+        yield
     except (OSError, ValueError) as exc:
-        raise CliIoError(f"cannot read curves from {path}: {exc}") from exc
+        raise CliIoError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def _read_curves(path: str) -> CurveSet:
+    with _reading("curves", path):
+        return read_curves_csv(path)
+
+
+def _curve_chunks(path: str, rows: int) -> Iterator[CurveSet]:
+    with _reading("curves", path):
+        yield from iter_curves_csv(path, rows)
 
 
 def _read_responses(path: str) -> np.ndarray:
-    try:
+    with _reading("responses", path):
         return read_responses_csv(path)
-    except (OSError, ValueError) as exc:
-        raise CliIoError(f"cannot read responses from {path}: {exc}") from exc
 
 
 def _sha256(path: str) -> str:
@@ -337,18 +352,28 @@ def _cmd_predict(args) -> int:
             )
     train = _read_curves(model["curves_file"])
     y = _read_responses(model["responses_file"])
-    xs = _read_curves(args.curves)
+    # the query curves, a chunk at a time: each chunk is parsed, predicted and
+    # written before the next is read, so memory does not grow with the queries
+    with closing(_curve_chunks(args.curves, chunk_rows(len(train)))) as chunks:
+        first = next(chunks)  # a query file that cannot be read fails before the fit
+        fit = fit_pipeline(train, y, spec_m, model["kernel"],
+                           [(model["variance_method"], spec_v, model["h_v"])],
+                           h_m=model["h_m"], policy=model["policy"],
+                           self_inclusion=model["self_inclusion"])
 
-    fit = fit_pipeline(train, y, spec_m, model["kernel"],
-                       [(model["variance_method"], spec_v, model["h_v"])],
-                       h_m=model["h_m"], policy=model["policy"],
-                       self_inclusion=model["self_inclusion"])
-    (m_hat, m_fb), ((v_hat, v_fb, v_clip),) = fit.predict(xs)
-    cols = (np.arange(len(xs)), m_hat, m_fb.astype(int), v_hat, v_fb.astype(int),
-            v_clip.astype(int))
-    out = _out_path(args, args.out)
-    _write_rows(out, ["index", "m_hat", "m_fallback", "v_hat", "v_fallback",
-                      "v_clipped"], zip(*(c.tolist() for c in cols)))
+        def rows():
+            start = 0
+            for xs in itertools.chain([first], chunks):
+                (m_hat, m_fb), ((v_hat, v_fb, v_clip),) = fit.predict(xs)
+                cols = (np.arange(start, start + len(xs)), m_hat, m_fb.astype(int),
+                        v_hat, v_fb.astype(int), v_clip.astype(int))
+                yield from zip(*(c.tolist() for c in cols))
+                start += len(xs)
+
+        out = _out_path(args, args.out)
+        # a failure in any chunk leaves no output file
+        _write_rows(out, ["index", "m_hat", "m_fallback", "v_hat", "v_fallback",
+                          "v_clipped"], rows())
     print(f"wrote {out}")
     return EXIT_OK
 

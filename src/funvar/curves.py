@@ -13,6 +13,7 @@ import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -262,19 +263,59 @@ def write_curves_csv(path: str | Path, cs: CurveSet) -> None:
     _write_rows(path, ["t", *cs.grid.points.tolist()], (row.tolist() for row in cs.values))
 
 
+# lines read_curves_csv parses at a time: about 2 MB of text for 101-point
+# curves, however long the file
+_READ_LINES = 1024
+
+
 def read_curves_csv(path: str | Path) -> CurveSet:
+    """All the curves of a curves file; see :func:`iter_curves_csv`."""
+    chunks = list(iter_curves_csv(path, _READ_LINES))
+    return CurveSet(chunks[0].grid, np.concatenate([cs.values for cs in chunks]))
+
+
+def iter_curves_csv(path: str | Path, lines: int) -> Iterator[CurveSet]:
+    """The curves of a curves file as consecutive sets of at most ``lines``
+    curves each, read ``lines`` lines at a time, all on one shared grid.
+
+    Blank lines are skipped. ValueError, naming the line, for a row that is
+    not one number per grid point; ValueError if the file has no curve rows.
+    """
     with open(path) as f:
         header = next(csv.reader([f.readline()]), [])
-        body = f.readlines()
-    if not header or header[0] != "t":
-        raise ValueError(f"{path}: first row must be the grid, starting with 't'")
-    grid = Grid(np.array([float(v) for v in header[1:]]))
-    if not any(line.strip() for line in body):
+        if not header or header[0] != "t":
+            raise ValueError(f"{path}: first row must be the grid, starting with 't'")
+        grid = Grid(np.array([float(v) for v in header[1:]]))
+        first, empty = 2, True
+        while chunk := list(islice(f, lines)):
+            if any(line.strip() for line in chunk):
+                yield CurveSet(grid, _parse_rows(path, chunk, first, grid.size))
+                empty = False
+            first += len(chunk)
+    if empty:
         raise ValueError(f"{path}: no curve rows")
-    # parsed straight into one array: a Python string and float per sample
-    # would take several times its memory and fragment the heap
-    values = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    return CurveSet(grid, values)
+
+
+def _parse_rows(path, chunk: list[str], first: int, width: int) -> np.ndarray:
+    """The rows of numbers in ``chunk``, the file's lines from ``first`` on,
+    parsed straight into one array: a Python string and float per sample
+    would take several times its memory and fragment the heap."""
+
+    def rows(lines):
+        # None unless every line holds one number per grid point
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+        return values if values.shape[1] == width else None
+
+    values = rows(chunk)
+    if values is None:
+        # loadtxt counts rows within the chunk: find the line at fault
+        k = next((k for k, line in enumerate(chunk) if line.strip() and rows([line]) is None), 0)
+        raise ValueError(f"{path}: line {first + k} is not {width} numbers "
+                         "separated by commas")
+    return values
 
 
 def write_responses_csv(path: str | Path, y: np.ndarray) -> None:

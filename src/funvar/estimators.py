@@ -312,6 +312,8 @@ def fit_variance(
     kernel = mean_fit.kernel if kernel is None else kernel
     policy = mean_fit.policy if policy is None else policy
     _check_smoother(kernel, bandwidth, policy)
+    # before the squared residuals, an O(n^2) smooth, so a refused metric costs nothing
+    metric = TrainedMetric.of(spec, mean_fit.train, near=(mean_fit.metric,))
     pseudo = np.asarray(
         pseudo_responses if pseudo_responses is not None
         else squared_residuals(mean_fit, self_inclusion)[0] if method == "residual"
@@ -322,7 +324,6 @@ def fit_variance(
         raise ValueError("pseudo-responses must be finite")
     if method == "residual" and np.any(pseudo < 0):
         raise ValueError("residual pseudo-responses must be nonnegative")
-    metric = TrainedMetric.of(spec, mean_fit.train, near=(mean_fit.metric,))
     return VarianceFit(method, mean_fit, metric, kernel, float(bandwidth), policy,
                        self_inclusion, pseudo)
 

@@ -171,17 +171,19 @@ def feature_matrix(spec: SemiMetricSpec, cs: CurveSet) -> np.ndarray:
     """Per-curve feature vectors; distances are weighted L2 between rows."""
     if spec.kind == "deriv_l2":
         p = _spline_map(spec, cs.grid)
-        if p is not None:
-            # einsum, as in train_projection: no dependence on the BLAS threads
-            return np.einsum("ij,jk->ik", cs.values, p)
-        return derivative_set(
-            cs, spec.order, spec.deriv_method, knots=spec.knots, degree=spec.degree
-        ).values
-    if spec.basis is None:
+        if p is None:
+            return derivative_set(
+                cs, spec.order, spec.deriv_method, knots=spec.knots, degree=spec.degree
+            ).values
+    elif spec.basis is None:
         raise ValueError("projection basis is untrained; call train_projection first")
-    if spec.basis.shape[0] != cs.grid.size:
+    elif spec.basis.shape[0] != cs.grid.size:
         raise ValueError("projection basis was trained on a different grid")
-    return cs.values @ spec.basis
+    else:
+        p = spec.basis
+    # einsum, as in train_projection: a curve's features depend neither on the
+    # BLAS threads nor, as a BLAS product's rows do, on the curves sharing the call
+    return np.einsum("ij,jk->ik", cs.values, p)
 
 
 def feature_weights(spec: SemiMetricSpec, grid: Grid) -> np.ndarray:

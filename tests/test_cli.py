@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import funvar
+import funvar._blocks as _blocks
 import funvar.bench as bench
 import funvar.cli as cli
 import funvar.estimators as estimators
@@ -17,6 +18,7 @@ from funvar._blocks import usable_cpus
 from funvar.cli import main, parse_args
 from funvar.curves import read_curves_csv, read_responses_csv
 from funvar.estimators import (
+    VARIANCE_METHODS,
     fit_mean,
     fit_variance,
     predict_variance_insample,
@@ -239,6 +241,81 @@ def test_predict_computes_the_query_block_once(tmp_path, monkeypatch):
                tmp_path / "model.json", "--curves", curves_f) == 0
     assert blocks == [(40, 40)]
     assert len(read_rows(tmp_path / "predictions.csv")) == 40
+
+
+@pytest.mark.parametrize("method", VARIANCE_METHODS)
+@pytest.mark.parametrize("flags", [
+    ("--order", 1),
+    ("--deriv-method", "bspline", "--order", 1, "--v-order", 0),
+    ("--semimetric", "pca_projection", "--dim", 2),
+], ids=["finite_diff", "bspline", "pca"])
+def test_streamed_predictions_equal_one_whole_set_prediction(tmp_path, monkeypatch,
+                                                             flags, method):
+    n, queries, rows = 40, 43, 8  # 5 chunks of 8 queries, then one of 3
+    curves_f, resp_f = simulate_small(tmp_path, example="ex2", n=n, seed=31)
+    query_f, _ = simulate_small(tmp_path, sub="query", example="ex2", n=queries, seed=32)
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f, "--responses", resp_f,
+               *flags, "--method", method, "--grid-size", 6) == 0
+    blocks = []
+    real = estimators.pairwise_from_features
+
+    def recording(fa, fb, w):
+        if fa is not fb:  # not the training self-distances of the residuals
+            blocks.append((fb, fa))
+        return real(fa, fb, w)
+
+    monkeypatch.setattr(estimators, "pairwise_from_features", recording)
+    outputs, features = [], []
+    for chunk in (rows, 10**6):  # chunks of 8 rows, then the whole set in one
+        monkeypatch.setattr(_blocks, "CHUNK_CELLS", chunk * n)
+        blocks.clear()
+        assert run("--output-dir", tmp_path, "predict", "--model", tmp_path / "model.json",
+                   "--curves", query_f, "--out", f"predictions-{chunk}.csv") == 0
+        outputs.append((tmp_path / f"predictions-{chunk}.csv").read_bytes())
+        by_metric: dict = {}  # the query blocks of each metric, in order
+        for fb, fa in blocks:
+            assert len(fa) <= chunk
+            by_metric.setdefault(id(fb), []).append(fa)
+        assert all(len(fas) == (6 if chunk == rows else 1) for fas in by_metric.values())
+        features.append([np.vstack(fas) for fas in by_metric.values()])
+    assert outputs[0] == outputs[1]
+    # each metric's blocks hold every query once, in file order
+    assert len(features[0]) == len(features[1]) == (2 if "bspline" in flags else 1)
+    for streamed, whole in zip(*features):
+        assert len(whole) == queries and np.array_equal(streamed, whole)
+
+
+def test_a_bad_query_file_exits_3_and_leaves_no_output(tmp_path, monkeypatch, capsys):
+    n = 12
+    curves_f, resp_f = simulate_small(tmp_path, n=n, seed=33)
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f, "--grid-size", 6) == 0
+    monkeypatch.setattr(_blocks, "CHUNK_CELLS", 8 * n)  # chunks of 8 queries
+
+    def predict(queries):
+        return run("--output-dir", tmp_path / "out", "predict", "--model",
+                   tmp_path / "model.json", "--curves", queries)
+
+    assert predict(curves_f) == 0
+    before = (tmp_path / "out" / "predictions.csv").read_bytes()
+    lines = Path(curves_f).read_text().splitlines(keepends=True)
+    lines[10] = "0.5,oops" + lines[10][lines[10].index(","):]  # line 11, in chunk 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    assert predict(bad) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read curves from {bad}" in err and "line 11 " in err
+    bad.write_text(lines[0])  # the grid and no curve
+    assert predict(bad) == 3
+    assert "no curve rows" in capsys.readouterr().err
+    assert run("--seed", 34, "--output-dir", tmp_path / "other", "simulate",
+               "--example", "ex1", "--n", 9, "--grid-size", 21) == 0
+    assert predict(tmp_path / "other" / "ex1_curves.csv") == 4
+    assert "not on the training grid" in capsys.readouterr().err
+    # no temporary file left, the earlier predictions untouched
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["predictions.csv"]
+    assert (tmp_path / "out" / "predictions.csv").read_bytes() == before
 
 
 def test_predict_rejects_tampered_training_data(tmp_path):

@@ -13,6 +13,7 @@ from funvar.curves import (
     derivative,
     derivative_set,
     integrate,
+    iter_curves_csv,
     read_curves_csv,
     read_responses_csv,
     uniform_grid,
@@ -258,6 +259,32 @@ def test_curves_csv_rejects_missing_or_malformed_rows(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text("t,0.0,1.0\n" + body)
     with pytest.raises(ValueError):
+        read_curves_csv(path)
+
+
+def test_curves_csv_in_chunks_are_the_whole_file_in_order(tmp_path):
+    rng = np.random.default_rng(7)
+    cs = CurveSet(uniform_grid(7), rng.standard_normal((23, 7)))
+    path = tmp_path / "c.csv"
+    write_curves_csv(path, cs)
+    for lines, sizes in ((1, [1] * 23), (8, [8, 8, 7]), (23, [23]), (1024, [23])):
+        chunks = list(iter_curves_csv(path, lines))
+        assert [len(c) for c in chunks] == sizes
+        assert all(c.grid == cs.grid for c in chunks)
+        assert np.array_equal(np.vstack([c.values for c in chunks]), cs.values)
+
+
+@pytest.mark.parametrize("lines", [1, 4, 1024])
+@pytest.mark.parametrize("row", ["1.0,x,2.0", "1.0,2.0", "1.0,2.0,3.0,4.0"])
+def test_a_malformed_row_is_named_by_its_line_in_the_file(tmp_path, lines, row):
+    body = ["0.5,1.5,2.5"] * 12
+    body.insert(3, "")  # blank lines count as lines
+    body[9] = row  # line 11 of the file
+    path = tmp_path / "bad.csv"
+    path.write_text("t,0.0,0.5,1.0\n" + "\n".join(body) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 11 is not 3 numbers"):
+        list(iter_curves_csv(path, lines))
+    with pytest.raises(ValueError, match="line 11 "):
         read_curves_csv(path)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import funvar.estimators as estimators
 from funvar.curves import Curve, CurveSet, uniform_grid
 from funvar.estimators import (
+    SELF_INCLUSION_MODES,
     BandwidthSelectionError,
     TrainedMetric,
     cv_bandwidth,
@@ -277,6 +279,24 @@ def test_variance_validation():
     with pytest.raises(ValueError):
         fit_variance("residual", fit, SPEC0, bandwidth=1.0, self_inclusion="bogus",
                      pseudo_responses=np.ones(4))
+
+
+def test_a_metric_on_other_curves_is_refused_before_any_smooth(monkeypatch):
+    cs, y = random_instance(8, 40)
+    fit = fit_mean(cs, y, SPEC0, bandwidth=1.0)
+    other = TrainedMetric(SPEC0, random_instance(8, 41)[0])
+    calls = []
+    real = estimators.weight_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "weight_matrix", counting)
+    for mode in SELF_INCLUSION_MODES:
+        with pytest.raises(ValueError, match="the TrainedMetric is on other training curves"):
+            fit_variance("residual", fit, other, bandwidth=1.0, self_inclusion=mode)
+    assert calls == []  # the squared residuals were never smoothed
 
 
 @pytest.mark.parametrize("stage", ["mean", "variance"])

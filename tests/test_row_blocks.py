@@ -204,6 +204,16 @@ def test_row_blocks_cover_the_rows_in_aligned_ranges():
         assert max(pairs) - min(pairs) <= 2 * n
 
 
+def test_chunks_are_groups_of_8_rows_of_about_twice_the_pool_threshold():
+    assert blocks.CHUNK_CELLS == 2 * blocks.MIN_CELLS
+    assert blocks.chunk_rows(500) == 1048  # the benchmark's 500 training curves
+    for m in (1, 7, 500, 2000, 65535, 10**5, 10**7):
+        rows = blocks.chunk_rows(m)
+        assert rows % 8 == 0
+        assert rows == 8 or rows * m <= blocks.CHUNK_CELLS < (rows + 8) * m
+        assert rows == 8 or rows * m >= blocks.MIN_CELLS  # still big enough for the pool
+
+
 def test_one_worker_gives_the_same_bytes(ex2, monkeypatch):
     ds, metric = ex2
     f, w = metric.features, metric.weights

@@ -171,6 +171,16 @@ def test_pca_projection_distance_matches_explicit_eigh():
     assert_allclose(got, expect, atol=1e-8)
 
 
+def test_pca_scores_do_not_depend_on_the_curves_sharing_the_call():
+    cs = random_curves(600, size=101, seed=23)
+    spec = train_projection(SemiMetricSpec.pca_projection(dim=3), cs)
+    whole = feature_matrix(spec, cs)
+    for rows in (1, 8, 13):
+        parts = [feature_matrix(spec, cs.subset(slice(lo, lo + rows)))
+                 for lo in range(0, len(cs), rows)]
+        assert np.array_equal(np.vstack(parts), whole)
+
+
 def test_pca_projection_training_is_deterministic():
     cs = random_curves(15, seed=20)
     s1 = train_projection(SemiMetricSpec.pca_projection(dim=3), cs)

@@ -30,7 +30,10 @@ in process, ``REPEATS`` times, on the sizes of the benchmark's
 seed 0 stream 0; ``CLI_QUERIES`` query curves, stream 1; ``CLI_FIT_FLAGS``),
 and keeps the fastest round trip with the same layers and medians; there
 ``in_sample_fits`` also holds the smooths at the query curves, and
-``other`` the CSV reading and writing.
+``other`` the CSV reading and writing. ``predict_peak_rss_mb`` is the
+peak resident memory (``ru_maxrss``, in 10^6 bytes) of one more
+``funvar predict`` of the same model and queries, run alone in a fresh
+Python process.
 
 The output also records the machine (CPU model, core count, the threads
 that run the package's row blocks, Python, numpy, scipy) and a digest of
@@ -46,6 +49,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -178,7 +182,26 @@ def print_run(name: str, wall: float, layers: dict) -> None:
         f"{k}={'-' if v is None else f'{v:.4f}'}" for k, v in layers.items()))
 
 
-def cli_round_trip(cli, clock: LayerClock, missing: set) -> dict:
+# ru_maxrss keeps the high-water mark of the process image that exec
+# replaced, which for a child of this process is this process's own resident
+# size; so a small launcher starts the run and reads its rusage from wait4
+PEAK_RSS_LAUNCHER = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+                     "_, status, usage = os.wait4(p.pid, 0); print(usage.ru_maxrss); "
+                     "sys.exit(os.waitstatus_to_exitcode(status))")
+CLI_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from funvar.cli import main; " \
+           "sys.exit(main(sys.argv[2:]))"
+
+
+def predict_peak_rss_mb(src: Path, *argv) -> float:
+    """Peak resident memory of ``funvar`` with ``argv`` (imported from
+    ``src``) in a fresh process, in MB."""
+    r = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-c",
+                        CLI_MAIN, str(src.resolve()), *argv],
+                       capture_output=True, text=True, check=True)
+    return int(r.stdout.split()[-1]) * 1024 / 1e6
+
+
+def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> dict:
     """The fastest of ``REPEATS`` CLI fit -> predict round trips."""
 
     def run(*argv):
@@ -208,13 +231,18 @@ def cli_round_trip(cli, clock: LayerClock, missing: set) -> dict:
             all_layers.append(layer_times(clock.seconds, missing, t2 - t0))
             if best is None or t2 - t0 < best[0]:
                 best = (t2 - t0, t1 - t0, t2 - t1, all_layers[-1], dict(clock.calls))
+        peak_mb = predict_peak_rss_mb(
+            src, "--output-dir", tmp, "predict", "--model", f"{tmp}/model.json",
+            "--curves", f"{tmp}/query_curves.csv", "--out", "predictions.csv")
+    print(f"cli predict peak RSS: {peak_mb:.1f} MB")
     wall, fit_s, predict_s, layers, calls = best
     print_run("cli", wall, layers)
     return {"n_train": CLI_TRAIN, "queries": CLI_QUERIES, "fit_flags": list(CLI_FIT_FLAGS),
             "round_trip_s": wall, "round_trip_s_all": walls,
             "round_trip_s_median": statistics.median(walls), "fit_s": fit_s,
             "predict_s": predict_s, "layers_s": layers,
-            "layers_s_median": median_layers(all_layers), "calls": calls}
+            "layers_s_median": median_layers(all_layers), "calls": calls,
+            "predict_peak_rss_mb": peak_mb}
 
 
 def main(argv=None) -> int:
@@ -251,7 +279,7 @@ def main(argv=None) -> int:
                          "layers_s": layers, "layers_s_median": median_layers(all_layers),
                          "calls": calls, "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
             print_run(f"n={n}", wall, layers)
-        cli_run = cli_round_trip(cli, clock, missing)
+        cli_run = cli_round_trip(cli, clock, missing, args.src)
     finally:
         clock.uninstall()
     out = {"label": args.label, "machine": machine(),
