@@ -22,13 +22,14 @@ import numpy as np
 from ._blocks import usable_cpus
 from .curves import CurveSet, read_curves_csv, read_responses_csv
 from .estimators import (
-    SELF_INCLUSION_MODES,
     VARIANCE_METHODS,
     BandwidthSelectionError,
     CvResult,
     MeanFit,
     TrainedMetric,
     VarianceFit,
+    _check_smoother,
+    _check_variance,
     cv_bandwidth,
     fit_mean,
     fit_variance,
@@ -37,7 +38,7 @@ from .estimators import (
     predict_variance_set,
     squared_residuals,
 )
-from .kernels import KERNEL_KINDS, POLICY_FALLBACK
+from .kernels import POLICY_FALLBACK
 from .semimetric import SemiMetricSpec
 from .simulate import DESIGNS, SimSpec, SimulatedDataset, gen_dataset
 
@@ -52,6 +53,50 @@ def design_default_spec(design: str) -> SemiMetricSpec:
     if design not in DESIGNS:
         raise ValueError(f"unknown design {design!r}")
     return SemiMetricSpec.deriv_l2(order=1 if design == "ex3" else 0)
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """What :func:`fit_pipeline` fits, checked once when built: a mean on
+    ``spec``, then a variance fit per stage (method, variance spec, h_v)."""
+
+    spec: SemiMetricSpec
+    kernel: str = "quadratic"
+    stages: tuple = ()
+    h_m: float | None = None
+    grid_size: int = 20
+    policy: str = POLICY_FALLBACK
+    self_inclusion: str = "include_self"
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(tuple(s) for s in self.stages))
+        given = [h for h in (self.h_m, *(h for _, _, h in self.stages)) if h is not None]
+        if not all(isinstance(h, (int, float)) and not isinstance(h, bool) for h in given):
+            raise ValueError(f"bandwidths must be numbers, got {given!r}")
+        _check_smoother(self.kernel, self.policy, *given)
+        _check_variance(self.self_inclusion, *(m for m, _, _ in self.stages))
+        if self.grid_size < 1:
+            raise ValueError("bandwidth grid size must be positive")
+
+    def to_config(self) -> dict:
+        """The ``model.json`` fields of a one-stage pipeline, else ValueError."""
+        ((method, spec_v, h_v),) = self.stages  # ValueError unless one stage
+        return {"semimetric": self.spec.to_config(),
+                "variance_semimetric": spec_v.to_config(), "kernel": self.kernel,
+                "policy": self.policy, "self_inclusion": self.self_inclusion,
+                "variance_method": method, "h_m": self.h_m, "h_v": h_v}
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> PipelineConfig:
+        """The pipeline of a :meth:`to_config` dict; ValueError if a value is
+        missing or malformed, or a bandwidth is None (that would mean CV)."""
+        if not isinstance(cfg, dict) or cfg.get("h_m") is None or cfg.get("h_v") is None:
+            raise ValueError("the config must give both bandwidths, h_m and h_v")
+        spec, spec_v = (SemiMetricSpec.from_config(cfg.get(k))
+                        for k in ("semimetric", "variance_semimetric"))
+        stage = (cfg.get("variance_method"), spec_v, cfg["h_v"])
+        return cls(spec, cfg.get("kernel"), [stage], cfg["h_m"], policy=cfg.get("policy"),
+                   self_inclusion=cfg.get("self_inclusion"))
 
 
 @dataclass(frozen=True)
@@ -73,21 +118,20 @@ class ExperimentConfig:
             raise ValueError("n must be at least 2")
         if self.n_reps < 1:
             raise ValueError("n_reps must be positive")
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.grid_size < 1:
-            raise ValueError("bandwidth grid size must be positive")
-        if self.self_inclusion not in SELF_INCLUSION_MODES:
-            raise ValueError(f"unknown self-inclusion mode {self.self_inclusion!r}")
-        bad = [m for m in self.methods if m not in VARIANCE_METHODS]
-        if bad:
-            raise ValueError(f"unknown methods {bad}")
+        self.pipeline  # checks the kernel, grid size, self-inclusion mode and methods
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate methods")
 
     @property
     def resolved_spec(self) -> SemiMetricSpec:
         return self.spec if self.spec is not None else design_default_spec(self.design)
+
+    @property
+    def pipeline(self) -> PipelineConfig:
+        """One stage per method, all on the resolved semi-metric, with CV."""
+        spec = self.resolved_spec
+        return PipelineConfig(spec, self.kernel, [(m, spec, None) for m in self.methods],
+                              grid_size=self.grid_size, self_inclusion=self.self_inclusion)
 
     def to_dict(self) -> dict:
         return {
@@ -207,24 +251,14 @@ class PipelineFit:
 
 
 def fit_pipeline(
-    train: CurveSet,
-    y,
-    spec: SemiMetricSpec,
-    kernel: str = "quadratic",
-    stages=(),
-    h_m: float | None = None,
-    grid_size: int = 20,
-    policy: str = POLICY_FALLBACK,
-    self_inclusion: str = "include_self",
-    residual_pseudo=None,
+    train: CurveSet, y, config: PipelineConfig, residual_pseudo=None
 ) -> PipelineFit:
-    """Fit the mean, then one variance function per stage.
+    """Fit the mean, then one variance function per stage of ``config``.
 
-    Each stage is (method, variance spec, h_v or None). A bandwidth left as
-    None is chosen by cross-validation over the default grid of its stage's
-    semi-metric: h_m on the responses, h_v on the stage's pseudo-responses
-    (squared residuals around the fitted mean, or squared responses for the
-    direct method). Stages whose specs one metric
+    A bandwidth left as None is chosen by cross-validation over the default
+    grid of its stage's semi-metric: h_m on the responses, h_v on the
+    stage's pseudo-responses (squared residuals around the fitted mean, or
+    squared responses for the direct method). Stages whose specs one metric
     :meth:`~TrainedMetric.runs`, the mean's or an earlier stage's, share its
     features, distances, grid and binned pairs, so each semi-metric bins its
     pairs once. ``residual_pseudo`` replaces the squared residuals, e.g.
@@ -235,25 +269,26 @@ def fit_pipeline(
         # a given bandwidth skips cross-validation
         if h is not None:
             return h, None
-        cv = cv_bandwidth(train, responses, metric, kernel, metric.grid(grid_size))
+        cv = cv_bandwidth(train, responses, metric, config.kernel,
+                          metric.grid(config.grid_size))
         return cv.bandwidth, cv
 
-    metric = TrainedMetric(spec, train)
-    h_m, cv_m = select(metric, y, h_m)
-    mean_fit = fit_mean(train, y, metric, kernel, h_m, policy)
+    metric = TrainedMetric(config.spec, train)
+    h_m, cv_m = select(metric, y, config.h_m)
+    mean_fit = fit_mean(train, y, metric, config.kernel, h_m, config.policy)
     residuals = residual_pseudo
     pseudo_fallbacks = 0
     fits, cvs = [], []
-    for method, spec_v, h_v in stages:
+    for method, spec_v, h_v in config.stages:
         if method == "residual" and residuals is None:
-            residuals, fb = squared_residuals(mean_fit, self_inclusion)
+            residuals, fb = squared_residuals(mean_fit, config.self_inclusion)
             pseudo_fallbacks = int(fb.sum())
         pseudo = residuals if method == "residual" else mean_fit.y**2
         metric_v = TrainedMetric.of(spec_v, train,
                                     near=(metric, *(f.metric for f in fits)))
         h_v, cv_v = select(metric_v, pseudo, h_v)
         fits.append(fit_variance(method, mean_fit, metric_v, bandwidth=h_v,
-                                 self_inclusion=self_inclusion,
+                                 self_inclusion=config.self_inclusion,
                                  pseudo_responses=pseudo))
         cvs.append(cv_v)
     return PipelineFit(mean_fit, cv_m, tuple(fits), tuple(cvs), pseudo_fallbacks)
@@ -282,13 +317,9 @@ def run_replication(
         raise ValueError("rep_index must be nonnegative")
     if dataset is None:
         dataset = gen_dataset(SimSpec(cfg.design, cfg.n, cfg.base_seed, rep_index))
-    spec = cfg.resolved_spec
     known = (dataset.y - dataset.m_true) ** 2 if known_mean else None
     try:
-        fit = fit_pipeline(dataset.curves, dataset.y, spec, cfg.kernel,
-                           [(method, spec, None) for method in cfg.methods],
-                           grid_size=cfg.grid_size, self_inclusion=cfg.self_inclusion,
-                           residual_pseudo=known)
+        fit = fit_pipeline(dataset.curves, dataset.y, cfg.pipeline, residual_pseudo=known)
     except BandwidthSelectionError as exc:
         return ReplicationRecord(rep_index, failed=True, error=str(exc))
 
@@ -412,8 +443,7 @@ class ChemoConfig:
             raise ValueError("train_size must be at least 2")
         if not self.candidate_orders:
             raise ValueError("need at least one candidate order")
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        self.pipeline()  # checks the kernel, grid size and every semi-metric
 
     def semimetric(self, order: int) -> SemiMetricSpec:
         return SemiMetricSpec.deriv_l2(
@@ -422,6 +452,12 @@ class ChemoConfig:
             knots=self.knots,
             degree=self.degree,
         )
+
+    def pipeline(self) -> PipelineConfig:
+        """One residual stage per candidate order; not a field, as to_dict is asdict."""
+        stages = [("residual", self.semimetric(o), None) for o in self.candidate_orders]
+        return PipelineConfig(self.semimetric(self.mean_order), self.kernel, stages,
+                              grid_size=self.grid_size)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -485,9 +521,7 @@ def chemo_workflow(
     y_train = y[: cfg.train_size]
     y_val = y[cfg.train_size :]
 
-    stages = [("residual", cfg.semimetric(o), None) for o in cfg.candidate_orders]
-    fit = fit_pipeline(train, y_train, cfg.semimetric(cfg.mean_order), cfg.kernel,
-                       stages, grid_size=cfg.grid_size)
+    fit = fit_pipeline(train, y_train, cfg.pipeline())
     (m_val, fb_mean), v_val = fit.predict(val)
     if fb_mean.all():
         raise RuntimeError(

@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 from contextlib import closing, contextmanager
@@ -30,6 +29,7 @@ from .bench import (
     ChemoConfig,
     ExperimentAbortError,
     ExperimentConfig,
+    PipelineConfig,
     canonical_json,
     chemo_workflow,
     fit_pipeline,
@@ -272,10 +272,10 @@ def _cmd_fit(args) -> int:
     train = _read_curves(args.curves)
     y = _read_responses(args.responses)
     spec_v = _semimetric_from_args(args, order=args.v_order)
-    fit = fit_pipeline(train, y, _semimetric_from_args(args), args.kernel,
-                       [(args.method, spec_v, args.h_v)], h_m=args.h_m,
-                       grid_size=args.grid_size, policy=args.policy,
-                       self_inclusion=args.self_inclusion)
+    cfg = PipelineConfig(_semimetric_from_args(args), args.kernel,
+                         [(args.method, spec_v, args.h_v)], args.h_m, args.grid_size,
+                         args.policy, args.self_inclusion)
+    fit = fit_pipeline(train, y, cfg)
     (vfit,), (cv_v,) = fit.variances, fit.cv_v
     _, fb_eval, clip_eval = predict_variance_insample(vfit)
 
@@ -285,12 +285,8 @@ def _cmd_fit(args) -> int:
         "curves_sha256": _sha256(args.curves),
         "responses_file": os.path.abspath(args.responses),
         "responses_sha256": _sha256(args.responses),
-        "semimetric": fit.mean.spec.to_config(),
-        "variance_semimetric": vfit.spec.to_config(),
-        "kernel": args.kernel,
-        "policy": args.policy,
-        "self_inclusion": args.self_inclusion,
-        "variance_method": args.method,
+        **cfg.to_config(),
+        # the chosen bandwidths, so that predict refits without cross-validation
         "h_m": fit.mean.bandwidth,
         "h_v": vfit.bandwidth,
         "cv_m": None if fit.cv_m is None else fit.cv_m.to_table(),
@@ -307,39 +303,21 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str) -> tuple[dict, SemiMetricSpec, SemiMetricSpec]:
-    """The model and its mean and variance specs; CliIoError if the file is
-    unreadable or any value predict passes on is missing or malformed."""
-    try:
+def _load_model(path: str) -> tuple[dict, PipelineConfig]:
+    """The model and its pipeline; CliIoError if the file is unreadable or
+    any value predict passes on is missing or malformed."""
+    with _reading("model", path):
         with open(path, encoding="utf-8") as f:
             model = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliIoError(f"cannot read model {path}: {exc}") from exc
-    needed = ("curves_file", "responses_file", "curves_sha256", "responses_sha256",
-              "semimetric", "variance_semimetric", "kernel", "policy",
-              "self_inclusion", "variance_method", "h_m", "h_v")
-    missing = [k for k in needed if not isinstance(model, dict) or k not in model]
-    if missing:
-        raise CliIoError(f"model {path} is missing fields: {', '.join(missing)}")
-    choices = {"kernel": KERNEL_KINDS, "policy": WEIGHT_POLICIES,
-               "self_inclusion": SELF_INCLUSION_MODES, "variance_method": VARIANCE_METHODS}
-    for key, allowed in choices.items():
-        if model[key] not in allowed:
-            raise CliIoError(f"model {path}: {key} {model[key]!r} is not one of "
-                             f"{', '.join(allowed)}")
-    for key in ("h_m", "h_v"):
-        h = model[key]
-        if not (type(h) in (int, float) and math.isfinite(h) and h > 0):
-            raise CliIoError(f"model {path}: {key} {h!r} is not a positive finite number")
-    try:
-        return model, *(SemiMetricSpec.from_config(model[key])
-                        for key in ("semimetric", "variance_semimetric"))
-    except ValueError as exc:
-        raise CliIoError(f"model {path}: {exc}") from exc
+        files = ("curves_file", "responses_file", "curves_sha256", "responses_sha256")
+        missing = [k for k in files if not isinstance(model, dict) or k not in model]
+        if missing:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        return model, PipelineConfig.from_config(model)
 
 
 def _cmd_predict(args) -> int:
-    model, spec_m, spec_v = _load_model(args.model)
+    model, cfg = _load_model(args.model)
     for kind in ("curves", "responses"):
         path = model[f"{kind}_file"]
         if not os.path.exists(path):
@@ -356,10 +334,7 @@ def _cmd_predict(args) -> int:
     # written before the next is read, so memory does not grow with the queries
     with closing(_curve_chunks(args.curves, chunk_rows(len(train)))) as chunks:
         first = next(chunks)  # a query file that cannot be read fails before the fit
-        fit = fit_pipeline(train, y, spec_m, model["kernel"],
-                           [(model["variance_method"], spec_v, model["h_v"])],
-                           h_m=model["h_m"], policy=model["policy"],
-                           self_inclusion=model["self_inclusion"])
+        fit = fit_pipeline(train, y, cfg)
 
         def rows():
             start = 0

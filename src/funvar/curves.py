@@ -279,7 +279,7 @@ def iter_curves_csv(path: str | Path, lines: int) -> Iterator[CurveSet]:
     curves each, read ``lines`` lines at a time, all on one shared grid.
 
     Blank lines are skipped. ValueError, naming the line, for a row that is
-    not one number per grid point; ValueError if the file has no curve rows.
+    not one finite number per grid point; ValueError for a file of no curves.
     """
     with open(path) as f:
         header = next(csv.reader([f.readline()]), [])
@@ -302,19 +302,19 @@ def _parse_rows(path, chunk: list[str], first: int, width: int) -> np.ndarray:
     would take several times its memory and fragment the heap."""
 
     def rows(lines):
-        # None unless every line holds one number per grid point
+        # None unless every line holds one finite number per grid point
         try:
             values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError:
             return None
-        return values if values.shape[1] == width else None
+        return values if values.shape[1] == width and np.isfinite(values).all() else None
 
     values = rows(chunk)
     if values is None:
         # loadtxt counts rows within the chunk: find the line at fault
         k = next((k for k, line in enumerate(chunk) if line.strip() and rows([line]) is None), 0)
         raise ValueError(f"{path}: line {first + k} is not {width} numbers "
-                         "separated by commas")
+                         "separated by commas, all finite")
     return values
 
 

@@ -145,13 +145,22 @@ class TrainedMetric:
         return spec.basis is None or np.array_equal(spec.basis, self.spec.basis)
 
 
-def _check_smoother(kernel: str, bandwidth: float, policy: str) -> None:
-    """Refuse a fit's kernel, bandwidth or policy before it is frozen."""
+def _check_smoother(kernel: str, policy: str, *bandwidths: float) -> None:
+    """Refuse a fit's kernel, policy or bandwidths before it is frozen."""
     kernel_power(kernel)
     if policy not in WEIGHT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if not 0 < bandwidth < np.inf:
+    if not all(0 < h < np.inf for h in bandwidths):
         raise ValueError("bandwidth must be positive and finite")
+
+
+def _check_variance(self_inclusion: str, *methods: str) -> None:
+    """Refuse an unknown self-inclusion mode or variance method."""
+    if self_inclusion not in SELF_INCLUSION_MODES:
+        raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
+    bad = [m for m in methods if m not in VARIANCE_METHODS]
+    if bad:
+        raise ValueError(f"unknown variance methods {bad}")
 
 
 def _smooth(
@@ -213,7 +222,7 @@ def fit_mean(
         raise ValueError("need at least 2 training curves")
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
-    _check_smoother(kernel, bandwidth, policy)
+    _check_smoother(kernel, policy, bandwidth)
     return MeanFit(TrainedMetric.of(spec, train), y, kernel, float(bandwidth), policy)
 
 
@@ -255,8 +264,7 @@ def squared_residuals(
     row left with no in-range neighbor falls back per the fit's policy and
     is flagged in the returned mask.
     """
-    if self_inclusion not in SELF_INCLUSION_MODES:
-        raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
+    _check_variance(self_inclusion)
     if self_inclusion == "leave_one_out":
         fitted, fb = _smooth(fit, fit.metric.dist, fit.y, exclude_diag=True)
     else:
@@ -305,13 +313,10 @@ def fit_variance(
     :meth:`TrainedMetric.of` does; a plain ``spec`` that the mean fit's
     metric :meth:`~TrainedMetric.runs` shares that metric.
     """
-    if method not in VARIANCE_METHODS:
-        raise ValueError(f"unknown variance method {method!r}")
-    if self_inclusion not in SELF_INCLUSION_MODES:
-        raise ValueError(f"unknown self-inclusion mode {self_inclusion!r}")
+    _check_variance(self_inclusion, method)
     kernel = mean_fit.kernel if kernel is None else kernel
     policy = mean_fit.policy if policy is None else policy
-    _check_smoother(kernel, bandwidth, policy)
+    _check_smoother(kernel, policy, bandwidth)
     # before the squared residuals, an O(n^2) smooth, so a refused metric costs nothing
     metric = TrainedMetric.of(spec, mean_fit.train, near=(mean_fit.metric,))
     pseudo = np.asarray(

@@ -30,7 +30,7 @@ def kernel_power(kind: str) -> int:
     """The power p of the kernel K(u) = 1 - u**p on [0, 1]."""
     try:
         return KERNEL_POWER[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"unknown kernel {kind!r}; choose from {KERNEL_KINDS}")
 
 

@@ -10,6 +10,7 @@ from funvar.bench import (
     ChemoConfig,
     ExperimentAbortError,
     ExperimentConfig,
+    PipelineConfig,
     chemo_workflow,
     convergence_check,
     design_default_spec,
@@ -74,6 +75,58 @@ def test_config_validation():
         ExperimentConfig("ex1", methods=("ratio",))
     with pytest.raises(ValueError):
         ExperimentConfig("ex1", self_inclusion="bogus", methods=("direct",))
+    with pytest.raises(ValueError):
+        ExperimentConfig("ex1", grid_size=0)
+    with pytest.raises(ValueError):
+        ChemoConfig("c.csv", "r.csv", kernel="gauss")
+    with pytest.raises(ValueError):  # a degree-2 spline has no order-2 derivative
+        ChemoConfig("c.csv", "r.csv", mean_order=2, degree=2)
+
+
+@pytest.mark.parametrize("bad", [
+    {"kernel": "gauss"},
+    {"kernel": ["quadratic"]},
+    {"policy": "bogus"},
+    {"self_inclusion": "bogus"},
+    {"stages": [("ratio", SemiMetricSpec.deriv_l2(), None)]},
+    {"grid_size": 0},
+    {"h_m": 0},
+    {"h_m": -1.0},
+    {"h_m": float("inf")},
+    {"h_m": float("nan")},
+    {"h_m": True},
+    {"h_m": "1.0"},
+    {"stages": [("residual", SemiMetricSpec.deriv_l2(), 0.0)]},
+    {"stages": [("direct", SemiMetricSpec.deriv_l2(), False)]},
+])
+def test_pipeline_config_refuses_a_bad_field_when_built(bad):
+    with pytest.raises(ValueError):
+        PipelineConfig(SemiMetricSpec.deriv_l2(), **bad)
+
+
+@pytest.mark.parametrize("spec", [
+    SemiMetricSpec.deriv_l2(1),
+    SemiMetricSpec.deriv_l2(2, "bspline", knots=12, degree=4),
+    SemiMetricSpec.pca_projection(2),
+], ids=["finite_diff", "bspline", "pca"])
+def test_pipeline_config_round_trips_through_its_model_fields(spec):
+    cfg = PipelineConfig(spec, "triangle", [("direct", SemiMetricSpec.deriv_l2(), 0.7)],
+                         0.5, policy="error", self_inclusion="leave_one_out")
+    assert PipelineConfig.from_config(cfg.to_config()) == cfg
+    assert PipelineConfig.from_config(json.loads(json.dumps(cfg.to_config()))) == cfg
+    for key in ("h_m", "h_v"):  # None would mean cross-validation
+        with pytest.raises(ValueError):
+            PipelineConfig.from_config({**cfg.to_config(), key: None})
+    for key in cfg.to_config():
+        with pytest.raises(ValueError):
+            PipelineConfig.from_config({k: v for k, v in cfg.to_config().items() if k != key})
+
+
+def test_only_a_one_stage_pipeline_has_model_fields():
+    spec = SemiMetricSpec.deriv_l2()
+    for stages in ((), [("residual", spec, 1.0), ("direct", spec, 1.0)]):
+        with pytest.raises(ValueError):
+            PipelineConfig(spec, stages=stages, h_m=1.0).to_config()
 
 
 def test_config_dict_has_no_runtime_fields():
@@ -145,10 +198,10 @@ def test_pipeline_stages_share_distances_only_under_the_same_metric():
     ds = gen_dataset(SimSpec("ex2", 30, 4))
     spec = design_default_spec("ex2")
     fit = bench.fit_pipeline(
-        ds.curves, ds.y, spec,
-        stages=[("residual", spec, None),
-                ("direct", SemiMetricSpec.deriv_l2(order=1), 2.0)],
-        grid_size=8,
+        ds.curves, ds.y,
+        bench.PipelineConfig(spec, stages=[("residual", spec, None),
+                                           ("direct", SemiMetricSpec.deriv_l2(order=1), 2.0)],
+                             grid_size=8),
     )
     res, direct = fit.variances
     assert res.metric is fit.mean.metric

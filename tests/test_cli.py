@@ -118,6 +118,13 @@ def test_a_non_finite_response_exits_3(tmp_path, bad):
                "--responses", resp_f) == 3
 
 
+def test_a_non_finite_curve_sample_exits_3_and_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "f.csv"
+    bad.write_text("t,0,0.5,1\n1,2,3\n3,nan,4\n")
+    assert run("--output-dir", tmp_path, "smallball", "--curves", bad) == 3
+    assert f"{bad}: line 3 " in capsys.readouterr().err
+
+
 def test_output_files_get_the_process_umask(tmp_path):
     old = os.umask(0o027)
     try:
@@ -157,6 +164,11 @@ def test_fit_predict_round_trip(tmp_path):
     assert run("--output-dir", fit_dir, "fit", "--curves", curves_f,
                "--responses", resp_f, "--grid-size", 8) == 0
     model = json.loads((fit_dir / "model.json").read_text())
+    assert set(model) == {
+        "curves_file", "curves_sha256", "responses_file", "responses_sha256",
+        "semimetric", "variance_semimetric", "kernel", "policy", "self_inclusion",
+        "variance_method", "h_m", "h_v", "cv_m", "cv_v", "counters",
+    }
     assert model["variance_method"] == "residual"
     assert model["h_m"] > 0 and model["h_v"] > 0
     chosen = [r for r in model["cv_m"] if r["bandwidth"] == model["h_m"]]
@@ -330,10 +342,11 @@ def test_predict_rejects_tampered_training_data(tmp_path):
 
 def test_predict_rejects_incomplete_model(tmp_path):
     bad = tmp_path / "model.json"
-    bad.write_text(json.dumps({"h_m": 1.0}))
     curves_f, _ = simulate_small(tmp_path, n=6, seed=1)
-    assert run("--output-dir", tmp_path, "predict", "--model", bad,
-               "--curves", curves_f) == 3
+    for content in ({"h_m": 1.0}, [1.0, 2.0]):
+        bad.write_text(json.dumps(content))
+        assert run("--output-dir", tmp_path, "predict", "--model", bad,
+                   "--curves", curves_f) == 3
 
 
 @pytest.mark.parametrize("field, value", [
@@ -348,7 +361,15 @@ def test_predict_rejects_incomplete_model(tmp_path):
     ("h_m", "abc"),
     ("self_inclusion", "bogus"),
     ("kernel", "bogus"),
+    ("kernel", ["quadratic"]),
     ("variance_method", "bogus"),
+    ("policy", "bogus"),
+    ("h_v", 0),
+    ("h_m", -1.0),
+    ("h_v", float("inf")),  # json writes and reads it as Infinity
+    ("h_m", True),
+    ("h_m", None),
+    ("h_v", None),
 ])
 def test_predict_rejects_a_malformed_model(tmp_path, field, value):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)

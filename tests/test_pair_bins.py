@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import squareform
 
 import funvar.estimators as estimators
-from funvar.bench import ExperimentConfig, fit_pipeline, run_replication
+from funvar.bench import ExperimentConfig, PipelineConfig, fit_pipeline, run_replication
 from funvar.curves import CurveSet, uniform_grid
 from funvar.estimators import (
     PairBins,
@@ -113,8 +113,8 @@ def test_pipeline_bins_each_metric_once(monkeypatch):
     calls = count_calls(monkeypatch)
     cs, y = random_set(40, 8)
     pca = SemiMetricSpec.pca_projection(2)
-    fit = fit_pipeline(cs, y, SPEC0, "quadratic",
-                       [("residual", pca, None), ("direct", SPEC0, None)], grid_size=10)
+    fit = fit_pipeline(cs, y, PipelineConfig(
+        SPEC0, "quadratic", [("residual", pca, None), ("direct", SPEC0, None)], grid_size=10))
     assert calls["PairBins"] == 2
     metric = fit.mean.metric
     grid = metric.grid(10)
@@ -129,9 +129,9 @@ def test_stages_that_share_a_spec_share_its_metric(monkeypatch):
     calls = count_calls(monkeypatch)
     cs, y = random_set(40, 8)
     pca = SemiMetricSpec.pca_projection(2)
-    fit = fit_pipeline(cs, y, SPEC0, "quadratic",
-                       [("residual", SPEC0, None), ("direct", pca, None),
-                        ("residual", pca, None)], grid_size=10)
+    fit = fit_pipeline(cs, y, PipelineConfig(
+        SPEC0, "quadratic", [("residual", SPEC0, None), ("direct", pca, None),
+                             ("residual", pca, None)], grid_size=10))
     assert calls["PairBins"] == 2
     metrics = [v.metric for v in fit.variances]
     assert metrics[0] is fit.mean.metric
@@ -142,9 +142,10 @@ def test_pipeline_predict_builds_each_query_block_once_and_drops_it(monkeypatch)
     cs, y = random_set(40, 8)
     xs, _ = random_set(25, 9)
     pca = SemiMetricSpec.pca_projection(2)
-    fit = fit_pipeline(cs, y, SPEC0, "quadratic",
-                       [("residual", SPEC0, None), ("direct", SemiMetricSpec.deriv_l2(1), None),
-                        ("direct", pca, None), ("residual", pca, None)], grid_size=10)
+    fit = fit_pipeline(cs, y, PipelineConfig(
+        SPEC0, "quadratic", [("residual", SPEC0, None),
+                             ("direct", SemiMetricSpec.deriv_l2(1), None),
+                             ("direct", pca, None), ("residual", pca, None)], grid_size=10))
     want_mean = predict_mean_set(fit.mean, xs)
     want = [predict_variance_set(v, xs) for v in fit.variances]
     built = []
@@ -171,8 +172,8 @@ def test_given_bandwidth_pipeline_matches_the_oracles(kernel):
     cs, y = random_set(12, 9)
     d = distance_matrix(SPEC0, cs)
     h_m, h_v = (float(np.quantile(d[d > 0], q)) for q in (0.4, 0.6))
-    fit = fit_pipeline(cs, y, SPEC0, kernel,
-                       [("residual", SPEC0, h_v), ("direct", SPEC0, h_v)], h_m=h_m)
+    fit = fit_pipeline(cs, y, PipelineConfig(
+        SPEC0, kernel, [("residual", SPEC0, h_v), ("direct", SPEC0, h_v)], h_m=h_m))
     assert fit.cv_m is None and fit.cv_v == (None, None)
     dl, yl = d.tolist(), y.tolist()
     means = oracles.insample_means(dl, h_m, kernel, yl)
@@ -189,7 +190,7 @@ def test_given_bandwidth_pipeline_matches_the_oracles(kernel):
 @pytest.mark.parametrize("kernel", ["quadratic", "uniform"])
 def test_a_300_candidate_grid_bins_in_uint16_and_matches_the_oracle(kernel):
     cs, y = random_set(40, 10)
-    fit = fit_pipeline(cs, y, SPEC0, kernel, grid_size=300)
+    fit = fit_pipeline(cs, y, PipelineConfig(SPEC0, kernel, grid_size=300))
     metric = fit.mean.metric
     grid = metric.grid(300)
     assert grid.size > 255
