@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
-from scipy.interpolate import make_lsq_spline
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,11 @@ def _spline_operator(grid: Grid, order: int, knots: int, degree: int) -> np.ndar
     order-``order`` derivative, on grid points, of its least-squares spline
     on quantile knots: the fit is linear in the samples, so D is the fit of
     the identity. Computed once per (grid, order, knots, degree) and stored
-    read-only, since threads share it.
+    read-only, since threads share it. scipy.interpolate is imported here,
+    on the first B-spline spec, so that other runs never load it.
     """
+    from scipy.interpolate import make_lsq_spline
+
     _check_spline(order, knots, degree)
     if knots + degree + 1 > grid.size:
         raise ValueError(
@@ -249,13 +251,14 @@ def _atomic_write(path: str | Path) -> Iterator[TextIO]:
 def _write_rows(path: str | Path, header: list, rows: Iterable) -> None:
     """Write a CSV table atomically, streaming ``rows`` one at a time.
 
-    Cells are Python numbers (as ``ndarray.tolist()`` gives them) or
-    strings; csv writes a float as its ``repr``, so a round trip is exact.
+    The header goes through csv. Data rows hold only Python numbers (as
+    ``ndarray.tolist()`` gives them), written as their ``repr``s joined by
+    commas: the bytes csv writes for numbers, in about half the time. A
+    float's ``repr`` reads back to the same float, so a round trip is exact.
     """
     with _atomic_write(path) as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(f).writerow(header)
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_curves_csv(path: str | Path, cs: CurveSet) -> None:

@@ -150,7 +150,11 @@ def _check_smoother(kernel: str, policy: str, *bandwidths: float) -> None:
     kernel_power(kernel)
     if policy not in WEIGHT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if not all(0 < h < np.inf for h in bandwidths):
+    try:
+        finite = all(0 < h and float(h) < np.inf for h in bandwidths)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ValueError("bandwidth must be positive and finite")
 
 

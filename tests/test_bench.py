@@ -98,6 +98,8 @@ def test_config_validation():
     {"h_m": "1.0"},
     {"stages": [("residual", SemiMetricSpec.deriv_l2(), 0.0)]},
     {"stages": [("direct", SemiMetricSpec.deriv_l2(), False)]},
+    {"h_m": 10**400},  # an int too large for a float
+    {"stages": [("direct", SemiMetricSpec.deriv_l2(), 10**400)]},
 ])
 def test_pipeline_config_refuses_a_bad_field_when_built(bad):
     with pytest.raises(ValueError):

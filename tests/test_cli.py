@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -370,6 +371,9 @@ def test_predict_rejects_incomplete_model(tmp_path):
     ("h_m", True),
     ("h_m", None),
     ("h_v", None),
+    # json writes an int too large for a float as its 401 digits
+    pytest.param("h_m", 10**400, id="h_m-int_too_large_for_a_float"),
+    pytest.param("h_v", 10**400, id="h_v-int_too_large_for_a_float"),
 ])
 def test_predict_rejects_a_malformed_model(tmp_path, field, value):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)
@@ -531,3 +535,55 @@ def test_bspline_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path
     one, two = blas_thread_outputs(tmp_path, "--deriv-method", "bspline", "--order", 1,
                                    "--v-order", 0)
     assert one == two
+
+
+def test_every_csv_the_cli_writes_is_the_bytes_csv_writes(tmp_path):
+    curves_f, resp_f = simulate_small(tmp_path, example="ex2", n=30, seed=21)
+    out = tmp_path / "out"
+    assert run("--output-dir", out, "fit", "--curves", curves_f,
+               "--responses", resp_f, "--grid-size", 6) == 0
+    assert run("--output-dir", out, "predict", "--model", out / "model.json",
+               "--curves", curves_f) == 0
+    assert run("--output-dir", out, "chemo", "--curves", curves_f,
+               "--responses", resp_f, "--train-size", 20, "--mean-order", 0,
+               "--orders", "0", "--deriv-method", "finite_diff", "--grid-size", 8) == 0
+    assert run("--output-dir", out, "smallball", "--curves", curves_f) == 0
+    written = sorted([*(tmp_path / "data").glob("*.csv"), *out.glob("*.csv")])
+    assert [p.name for p in written] == [
+        "ex2_curves.csv", "ex2_responses.csv", "ex2_truth.csv",
+        "chemo_pairs.csv", "predictions.csv", "smallball.csv"]
+
+    def number(cell):
+        try:
+            return int(cell)
+        except ValueError:
+            return float(cell)
+
+    for path in written:
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        ref = io.StringIO()
+        w = csv.writer(ref)
+        w.writerow(header)
+        w.writerows([number(c) for c in row] for row in rows)
+        assert path.read_bytes() == ref.getvalue().encode(), path.name
+
+
+def test_scipy_interpolate_loads_only_for_a_bspline_spec():
+    src = str(Path(funvar.__file__).resolve().parent.parent)
+    script = """
+import sys
+import funvar, funvar.cli
+from funvar.bench import ExperimentConfig, run_replication
+from funvar.curves import uniform_grid, CurveSet
+from funvar.semimetric import SemiMetricSpec, feature_matrix
+run_replication(ExperimentConfig("ex3", n=40, n_reps=1), 0)
+print("scipy.interpolate" in sys.modules)
+cs = CurveSet(uniform_grid(31), [[float(i * j) for j in range(31)] for i in range(3)])
+feature_matrix(SemiMetricSpec.deriv_l2(order=1, deriv_method="bspline", knots=5), cs)
+print("scipy.interpolate" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       capture_output=True, text=True)
+    assert r.stdout.split() == ["False", "True"]

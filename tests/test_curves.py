@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import make_lsq_spline
 
+import funvar.curves as curves
 from funvar.curves import (
     Curve,
     CurveSet,
     Grid,
     _spline_knots,
+    _write_rows,
     derivative,
     derivative_set,
     integrate,
@@ -204,29 +206,71 @@ def test_a_failed_write_leaves_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "c.csv"
     write_curves_csv(path, CurveSet(uniform_grid(5), np.arange(10.0).reshape(2, 5)))
     before = path.read_bytes()
-    real = csv.writer
+    real = open
 
-    class FailsAfterOneRow:
-        def __init__(self, f):
-            self.writer, self.rows = real(f), 0
+    class FullDisk:
+        """A file that takes one write, then reports a full disk."""
 
-        def writerow(self, row):
-            if self.rows:
+        def __init__(self, *args, **kwargs):
+            self.f, self.writes = real(*args, **kwargs), 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            if self.writes:
                 raise OSError("disk full")
-            self.rows += 1
-            self.writer.writerow(row)
+            self.writes += 1
+            return self.f.write(text)
 
-        def writerows(self, rows):
-            for row in rows:
-                self.writerow(row)
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
 
-    monkeypatch.setattr(csv, "writer", FailsAfterOneRow)
+    monkeypatch.setattr(curves, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="disk full"):
         write_curves_csv(path, CurveSet(uniform_grid(5), np.ones((3, 5))))
     with pytest.raises(OSError, match="disk full"):
         write_responses_csv(path, np.ones(3))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]  # no temporary file left
+
+
+def csv_module_bytes(path, header, rows):
+    """The bytes csv.writer writes for ``header`` and ``rows``, written to ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+EDGE_FLOATS = [1e-05, 1e16, -0.0, 5e-324, 2.5e-07, 1 / 3, 1e22, 1.7976931348623157e308]
+
+
+def test_curve_and_response_files_are_the_bytes_csv_writes(tmp_path):
+    edge = np.array(EDGE_FLOATS)
+    cs = CurveSet(Grid(np.sort(edge)), np.vstack([edge, -edge[::-1]]))
+    write_curves_csv(tmp_path / "c.csv", cs)
+    assert (tmp_path / "c.csv").read_bytes() == csv_module_bytes(
+        tmp_path / "ref.csv", ["t", *cs.grid.points.tolist()], cs.values.tolist())
+    write_responses_csv(tmp_path / "y.csv", edge)
+    assert (tmp_path / "y.csv").read_bytes() == csv_module_bytes(
+        tmp_path / "ref.csv", ["y"], [[v] for v in EDGE_FLOATS])
+
+
+def test_rows_of_ints_and_floats_are_the_bytes_csv_writes(tmp_path):
+    # the shape of the truth, prediction, chemo-pair and small-ball tables:
+    # an int index or flag next to floats
+    big = [0, 1, -7, 2**63, -(2**64) - 1, 10**400]
+    rows = [[i, x, -x, i % 2] for i, x in zip(big, EDGE_FLOATS)]
+    header = ["index", "m_hat", "v_hat", "v_fallback"]
+    _write_rows(tmp_path / "t.csv", header, iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(tmp_path / "ref.csv",
+                                                                 header, rows)
 
 
 def test_curves_csv_rejects_bad_header(tmp_path):

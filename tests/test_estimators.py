@@ -57,6 +57,8 @@ def test_fit_mean_validation():
         fit_mean(cs.subset([0]), y[:1], SPEC0, bandwidth=1.0)
     with pytest.raises(ValueError):
         fit_mean(cs, y, SPEC0, bandwidth=0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        fit_mean(cs, y, SPEC0, bandwidth=10**400)  # an int too large for a float
     bad = y.copy()
     bad[0] = np.nan
     with pytest.raises(ValueError):
@@ -263,6 +265,8 @@ def test_variance_validation():
         fit_variance("wavelet", fit, SPEC0, bandwidth=1.0)
     with pytest.raises(ValueError):
         fit_variance("residual", fit, SPEC0, bandwidth=-1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        fit_variance("residual", fit, SPEC0, bandwidth=10**400)
     with pytest.raises(ValueError):
         fit_variance("residual", fit, SPEC0, bandwidth=1.0,
                      pseudo_responses=np.full(4, -1.0))

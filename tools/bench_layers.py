@@ -35,6 +35,11 @@ peak resident memory (``ru_maxrss``, in 10^6 bytes) of one more
 ``funvar predict`` of the same model and queries, run alone in a fresh
 Python process.
 
+``cold_start`` holds ``import funvar`` alone, in ``COLD_STARTS`` fresh
+Python processes: the median and every run of its wall time (measured
+inside the process, around the import) and of the process's peak resident
+memory, and whether the import loaded ``scipy.interpolate``.
+
 The output also records the machine (CPU model, core count, the threads
 that run the package's row blocks, Python, numpy, scipy) and a digest of
 the package's source files.
@@ -192,13 +197,42 @@ CLI_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from funvar.cli import 
            "sys.exit(main(sys.argv[2:]))"
 
 
+COLD_IMPORT = "import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); " \
+              "import funvar; print(time.perf_counter() - t0, 'scipy.interpolate' in sys.modules)"
+COLD_STARTS = 5
+
+
+def fresh_process(*argv) -> tuple[str, float]:
+    """The output of ``python argv`` run in a fresh process, and its peak
+    resident memory in MB."""
+    r = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, *argv],
+                       capture_output=True, text=True, check=True)
+    out, _, rss_kb = r.stdout.rstrip().rpartition("\n")
+    return out, int(rss_kb) * 1024 / 1e6
+
+
 def predict_peak_rss_mb(src: Path, *argv) -> float:
     """Peak resident memory of ``funvar`` with ``argv`` (imported from
     ``src``) in a fresh process, in MB."""
-    r = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-c",
-                        CLI_MAIN, str(src.resolve()), *argv],
-                       capture_output=True, text=True, check=True)
-    return int(r.stdout.split()[-1]) * 1024 / 1e6
+    return fresh_process("-c", CLI_MAIN, str(src.resolve()), *argv)[1]
+
+
+def cold_start(src: Path) -> dict:
+    """``import funvar`` (from ``src``) alone in ``COLD_STARTS`` fresh
+    processes: the median import time and peak resident memory, and
+    whether the import loaded ``scipy.interpolate``."""
+    walls, peaks = [], []
+    for _ in range(COLD_STARTS):
+        out, peak_mb = fresh_process("-c", COLD_IMPORT, str(src.resolve()))
+        wall, interp = out.split()
+        walls.append(float(wall))
+        peaks.append(peak_mb)
+    interp = interp == "True"
+    print(f"cold start: import {statistics.median(walls):.3f} s, "
+          f"peak RSS {statistics.median(peaks):.1f} MB, scipy.interpolate loaded: {interp}")
+    return {"runs": COLD_STARTS, "import_s_median": statistics.median(walls),
+            "import_s_all": walls, "peak_rss_mb_median": statistics.median(peaks),
+            "peak_rss_mb_all": peaks, "scipy_interpolate_loaded": interp}
 
 
 def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> dict:
@@ -287,7 +321,7 @@ def main(argv=None) -> int:
            "config": {"design": "ex2", "seed": 0, "stream": 0, "kernel": "quadratic",
                       "grid_size": 20, "methods": ["residual", "direct"],
                       "repeats": REPEATS},
-           "runs": runs, "cli_round_trip": cli_run}
+           "runs": runs, "cli_round_trip": cli_run, "cold_start": cold_start(args.src)}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
