@@ -32,6 +32,7 @@ from .bench import (
     PipelineConfig,
     canonical_json,
     chemo_workflow,
+    design_default_spec,
     fit_pipeline,
     run_experiment,
     serialize_report,
@@ -133,7 +134,7 @@ def _semimetric_from_args(args, order: int | None = None) -> SemiMetricSpec:
 def _add_semimetric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--semimetric", choices=SEMIMETRIC_KINDS, default="deriv_l2")
     p.add_argument("--order", type=int, default=None,
-                   help="derivative order for the deriv_l2 semi-metric (default 0)")
+                   help="deriv_l2 derivative order (default 0; for bench, the design's order)")
     p.add_argument("--deriv-method", choices=DERIV_METHODS, default="finite_diff")
     p.add_argument("--knots", type=int, default=20)
     p.add_argument("--degree", type=int, default=3)
@@ -194,8 +195,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--example", choices=DESIGNS, required=True)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--order", type=int, default=None,
-                   help="override the per-example semi-metric derivative order")
+    _add_semimetric_flags(p)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
     p.add_argument("--self-inclusion", choices=SELF_INCLUSION_MODES,
                    default="include_self")
@@ -232,7 +232,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command in ("simulate", "bench") and args.seed is None:
         parser.error(f"--seed is required for {args.command}")
-    if args.command in ("fit", "smallball") and args.semimetric == "pca_projection":
+    if args.command in ("fit", "bench", "smallball") and args.semimetric == "pca_projection":
         for flag in ("order", "v_order"):
             if getattr(args, flag, None) is not None:
                 parser.error(f"--{flag.replace('_', '-')} applies to the "
@@ -355,15 +355,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
-    spec = None
-    if args.order is not None:
-        spec = SemiMetricSpec.deriv_l2(order=args.order)
+    order = design_default_spec(args.example).order if args.order is None else args.order
     cfg = ExperimentConfig(
         args.example,
         n=args.n,
         n_reps=args.reps,
         base_seed=args.seed,
-        spec=spec,
+        spec=_semimetric_from_args(args, order),
         kernel=args.kernel,
         grid_size=args.grid_size,
         self_inclusion=args.self_inclusion,

@@ -142,29 +142,40 @@ def _check_spline(order: int, knots: int, degree: int) -> None:
         raise ValueError("need at least one interior knot")
 
 
+def _bspline_basis(x: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """The (len(x), len(t) - k - 1) values of the degree-k B-splines on knots t
+    at x: half-open knot spans, the last non-empty one closed at the right end,
+    then Cox-de Boor, B_{i,d} = w_i B_{i,d-1} + (1 - w_{i+1}) B_{i+1,d-1} with
+    w_i = (x - t_i) / (t_{i+d} - t_i), or 0 where t_{i+d} = t_i and B_{i,d-1} = 0."""
+    b = ((t[:-1] <= x[:, None]) & (x[:, None] < t[1:])).astype(float)
+    b[x == t[-1], np.flatnonzero(t[:-1] < t[1:])[-1]] = 1.0
+    for d in range(1, k + 1):
+        span = t[d:] - t[:-d]
+        w = np.divide(x[:, None] - t[:-d], span, out=np.zeros_like(b), where=span > 0)
+        b = w[:, :-1] * b[:, :-1] + (1 - w[:, 1:]) * b[:, 1:]
+    return b
+
+
 @lru_cache(maxsize=8)
 def _spline_operator(grid: Grid, order: int, knots: int, degree: int) -> np.ndarray:
     """The T x T matrix D that takes a curve's samples to the analytic
     order-``order`` derivative, on grid points, of its least-squares spline
     on quantile knots: the fit is linear in the samples, so D is the fit of
     the identity. Computed once per (grid, order, knots, degree) and stored
-    read-only, since threads share it. scipy.interpolate is imported here,
-    on the first B-spline spec, so that other runs never load it.
-    """
-    from scipy.interpolate import make_lsq_spline
-
+    read-only, since threads share it."""
     _check_spline(order, knots, degree)
     if knots + degree + 1 > grid.size:
-        raise ValueError(
-            f"{knots} knots with degree {degree} need at least "
-            f"{knots + degree + 1} grid points, got {grid.size}"
-        )
-    t = _spline_knots(grid.points, knots, degree)
-    try:
-        spl = make_lsq_spline(grid.points, np.eye(grid.size), t, k=degree)
-    except Exception as exc:  # scipy raises LinAlgError or ValueError
-        raise ValueError(f"rank-deficient spline design (too many knots?): {exc}")
-    op = spl.derivative(order)(grid.points)
+        raise ValueError(f"{knots} knots with degree {degree} need at least "
+                         f"{knots + degree + 1} grid points, got {grid.size}")
+    t, k = _spline_knots(grid.points, knots, degree), degree
+    design = _bspline_basis(grid.points, t, k)
+    coef, _, rank, _ = np.linalg.lstsq(design, np.eye(grid.size), rcond=None)
+    if rank < design.shape[1]:
+        raise ValueError(f"rank-deficient spline design (too many knots?): rank {rank}")
+    for _ in range(order):  # a spline's derivative: one degree less, on the inner knots
+        coef = k * np.diff(coef, axis=0) / (t[k + 1:-1] - t[1:-k - 1])[:, None]
+        t, k = t[1:-1], k - 1
+    op = _bspline_basis(grid.points, t, k) @ coef
     if not np.all(np.isfinite(op)):
         raise ValueError("rank-deficient spline design produced non-finite values")
     op.flags.writeable = False
@@ -329,11 +340,17 @@ def write_responses_csv(path: str | Path, y: np.ndarray) -> None:
 
 
 def read_responses_csv(path: str | Path) -> np.ndarray:
+    """The responses; ValueError, naming the line, for a row not one finite number."""
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["y"]:
-        raise ValueError(f"{path}: responses file must have a 'y' header")
-    y = np.array([float(row[0]) for row in rows[1:] if row])
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{path}: responses must be finite")
-    return y
+        reader = csv.reader(f)
+        if next(reader, None) != ["y"]:
+            raise ValueError(f"{path}: responses file must have a 'y' header")
+        y = []
+        for row in filter(None, reader):
+            try:
+                y.append(float(*row))  # TypeError for more than one cell
+            except (TypeError, ValueError):
+                y.append(np.nan)
+            if not np.isfinite(y[-1]):
+                raise ValueError(f"{path}: line {reader.line_num} is not one finite number")
+    return np.array(y, dtype=float)

@@ -17,7 +17,14 @@ import funvar.cli as cli
 import funvar.estimators as estimators
 from funvar._blocks import usable_cpus
 from funvar.cli import main, parse_args
-from funvar.curves import read_curves_csv, read_responses_csv
+from funvar.curves import (
+    CurveSet,
+    Grid,
+    read_curves_csv,
+    read_responses_csv,
+    write_curves_csv,
+    write_responses_csv,
+)
 from funvar.estimators import (
     VARIANCE_METHODS,
     fit_mean,
@@ -117,6 +124,17 @@ def test_a_non_finite_response_exits_3(tmp_path, bad):
     Path(resp_f).write_text("\n".join(lines) + "\n")
     assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
                "--responses", resp_f) == 3
+
+
+@pytest.mark.parametrize("bad", ["1.0,2.0", "abc"])
+def test_a_malformed_response_row_exits_3_and_names_its_line(tmp_path, capsys, bad):
+    curves_f, resp_f = simulate_small(tmp_path, n=10, seed=23)
+    lines = Path(resp_f).read_text().splitlines()
+    lines[4] = bad
+    Path(resp_f).write_text("\n".join(lines) + "\n")
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f) == 3
+    assert "line 5 is not one finite number" in capsys.readouterr().err
 
 
 def test_a_non_finite_curve_sample_exits_3_and_names_its_line(tmp_path, capsys):
@@ -402,6 +420,30 @@ def test_bench_cli_reports_are_byte_identical(tmp_path):
     assert "wall_clock" not in json.dumps(data)
 
 
+@pytest.mark.parametrize("flags, semimetric", [
+    ((), {"kind": "deriv_l2", "order": 1, "method": "finite_diff"}),
+    (("--deriv-method", "bspline", "--order", 1),
+     {"kind": "deriv_l2", "order": 1, "method": "bspline", "knots": 20, "degree": 3}),
+    (("--semimetric", "pca_projection", "--dim", 2), {"kind": "pca_projection", "dim": 2}),
+], ids=["design_default", "bspline", "pca"])
+def test_bench_runs_the_semimetric_its_flags_name(tmp_path, flags, semimetric):
+    assert run("--seed", 3, "--output-dir", tmp_path, "bench", "--example", "ex3",
+               "--n", 20, "--reps", 2, "--grid-size", 6, *flags) == 0
+    report = json.loads((tmp_path / "report.json").read_bytes())
+    assert report["config"]["semimetric"] == semimetric
+    assert [r["failed"] for r in report["replications"]] == [False, False]
+
+
+def test_bench_without_semimetric_flags_runs_the_design_default(tmp_path):
+    for sub, flags in (("default", ()), ("named", ("--order", 1))):
+        assert run("--seed", 3, "--output-dir", tmp_path / sub, "bench", "--example",
+                   "ex3", "--n", 20, "--reps", 2, "--grid-size", 6, *flags) == 0
+    assert ((tmp_path / "default" / "report.json").read_bytes()
+            == (tmp_path / "named" / "report.json").read_bytes())
+    assert run("--seed", 3, "bench", "--example", "ex3", "--semimetric",
+               "pca_projection", "--order", 1) == 2
+
+
 def test_bench_rejects_unknown_method(tmp_path):
     assert run("--seed", 1, "--output-dir", tmp_path, "bench", "--example",
                "ex1", "--n", 12, "--reps", 1, "--methods", "residual,ratio") == 4
@@ -569,21 +611,49 @@ def test_every_csv_the_cli_writes_is_the_bytes_csv_writes(tmp_path):
         assert path.read_bytes() == ref.getvalue().encode(), path.name
 
 
-def test_scipy_interpolate_loads_only_for_a_bspline_spec():
+def test_no_run_loads_scipy_interpolate(tmp_path):
+    # the B-spline operator is built in numpy: neither the package, a
+    # replication, B-spline features nor a B-spline fit and predict load it
     src = str(Path(funvar.__file__).resolve().parent.parent)
     script = """
-import sys
-import funvar, funvar.cli
+import contextlib, io, sys
+loaded = []
+import funvar
+loaded.append("scipy.interpolate" in sys.modules)
 from funvar.bench import ExperimentConfig, run_replication
+from funvar.cli import main
 from funvar.curves import uniform_grid, CurveSet
 from funvar.semimetric import SemiMetricSpec, feature_matrix
 run_replication(ExperimentConfig("ex3", n=40, n_reps=1), 0)
-print("scipy.interpolate" in sys.modules)
+loaded.append("scipy.interpolate" in sys.modules)
 cs = CurveSet(uniform_grid(31), [[float(i * j) for j in range(31)] for i in range(3)])
 feature_matrix(SemiMetricSpec.deriv_l2(order=1, deriv_method="bspline", knots=5), cs)
-print("scipy.interpolate" in sys.modules)
+loaded.append("scipy.interpolate" in sys.modules)
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["--seed", "5", "--output-dir", out, "simulate", "--example", "ex3",
+                   "--n", "30", "--grid-size", "31"]),
+             main(["--output-dir", out, "fit", "--curves", out + "/ex3_curves.csv",
+                   "--responses", out + "/ex3_responses.csv", "--deriv-method", "bspline",
+                   "--order", "1", "--knots", "5", "--grid-size", "6"]),
+             main(["--output-dir", out, "predict", "--model", out + "/model.json",
+                   "--curves", out + "/ex3_curves.csv"])]
+loaded.append("scipy.interpolate" in sys.modules)
+print(codes, loaded)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    r = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    r = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                        capture_output=True, text=True)
-    assert r.stdout.split() == ["False", "True"]
+    assert r.stdout.strip() == "[0, 0, 0] [False, False, False, False]"
+    assert (tmp_path / "predictions.csv").exists()
+
+
+def test_a_rank_deficient_spline_design_exits_4(tmp_path):
+    # 29 points within 3e-11 and one at 1: see test_curves.clustered_grid
+    grid = Grid(np.r_[np.arange(29) * 1e-12, 1.0])
+    rng = np.random.default_rng(4)
+    write_curves_csv(tmp_path / "c.csv", CurveSet(grid, rng.standard_normal((12, 30))))
+    write_responses_csv(tmp_path / "r.csv", rng.standard_normal(12))
+    assert run("--output-dir", tmp_path, "fit", "--curves", tmp_path / "c.csv",
+               "--responses", tmp_path / "r.csv", "--deriv-method", "bspline",
+               "--order", 1, "--knots", 5, "--grid-size", 6) == 4

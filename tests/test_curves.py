@@ -2,15 +2,17 @@ import csv
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy.interpolate import make_lsq_spline
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import BSpline, make_lsq_spline
 
 import funvar.curves as curves
 from funvar.curves import (
     Curve,
     CurveSet,
     Grid,
+    _bspline_basis,
     _spline_knots,
+    _spline_operator,
     _write_rows,
     derivative,
     derivative_set,
@@ -153,6 +155,56 @@ def test_bspline_derivative_matches_a_direct_spline_fit():
         expect = spl.derivative(order)(g.points).T
         got = derivative_set(cs, order, "bspline", knots=12, degree=degree).values
         assert_allclose(got, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
+
+
+def nonuniform_grid(seed, size):
+    rng = np.random.default_rng(seed)
+    return Grid(np.sort(np.r_[-1.0, 1.0, rng.uniform(-1, 1, size - 2)]))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_bspline_basis_is_scipys_and_a_partition_of_unity(degree):
+    x = nonuniform_grid(5, 40).points
+    t = _spline_knots(x, 9, degree)
+    b = _bspline_basis(x, t, degree)
+    assert b.shape == (40, 9 + degree + 1)
+    assert_allclose(b, BSpline.design_matrix(x, t, degree).toarray(), rtol=0, atol=1e-14)
+    assert_allclose(b.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    # the right end belongs to the last span: only the last B-spline is nonzero there
+    assert np.array_equal(b[-1], np.eye(b.shape[1])[-1])
+
+
+def test_bspline_basis_skips_spans_of_zero_length():
+    # a double interior knot: the span between its copies adds no term
+    t = np.r_[[0.0] * 4, 0.5, 0.5, [1.0] * 4]
+    x = np.linspace(0, 1, 11)
+    b = _bspline_basis(x, t, 3)
+    assert np.all(np.isfinite(b))
+    assert_allclose(b, BSpline.design_matrix(x, t, 3).toarray(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("order, degree", [(1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5)])
+@pytest.mark.parametrize("seed, size, knots", [(1, 50, 12), (2, 101, 20), (3, 30, 5)])
+def test_spline_operator_is_the_scipy_spline_derivative(order, degree, seed, size, knots):
+    g = nonuniform_grid(seed, size)
+    spl = make_lsq_spline(g.points, np.eye(size), _spline_knots(g.points, knots, degree),
+                          k=degree)
+    expect = spl.derivative(order)(g.points)
+    got = _spline_operator(g, order, knots, degree)
+    assert not got.flags.writeable
+    assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+
+def clustered_grid():
+    # 29 points within 3e-11 and one at 1: the last B-splines differ only at
+    # that one point, so the least-squares design has numerically deficient rank
+    return Grid(np.r_[np.arange(29) * 1e-12, 1.0])
+
+
+def test_a_rank_deficient_spline_design_is_refused():
+    with pytest.raises(ValueError, match="rank-deficient spline design"):
+        derivative_set(CurveSet(clustered_grid(), np.ones((2, 30))), 1, "bspline",
+                       knots=5, degree=3)
 
 
 def test_derivative_unknown_method():
@@ -338,6 +390,20 @@ def test_non_finite_responses_are_never_written(tmp_path, bad):
     with pytest.raises(ValueError, match="responses must be finite"):
         write_responses_csv(path, [1.0, bad])
     assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
+
+
+@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,", "abc", '""', "nan", "-inf", "1e400"])
+def test_responses_csv_refuses_a_row_that_is_not_one_finite_number(tmp_path, row):
+    path = tmp_path / "y.csv"
+    path.write_text(f"y\n0.5\n\n{row}\n2.5\n")  # the blank line counts as a line
+    with pytest.raises(ValueError, match=r"y\.csv: line 4 is not one finite number"):
+        read_responses_csv(path)
+
+
+def test_responses_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text('y\n0.5\n\n"2.5"\n-1\n\n')
+    assert_array_equal(read_responses_csv(path), [0.5, 2.5, -1.0])
 
 
 def test_responses_csv_rejects_bad_header(tmp_path):

@@ -38,7 +38,10 @@ Python process.
 ``cold_start`` holds ``import funvar`` alone, in ``COLD_STARTS`` fresh
 Python processes: the median and every run of its wall time (measured
 inside the process, around the import) and of the process's peak resident
-memory, and whether the import loaded ``scipy.interpolate``.
+memory, and whether the import loaded ``scipy.interpolate``. Its
+``bspline_fit`` key holds the same for one ``funvar fit`` of the CLI
+training curves with ``CLI_FIT_FLAGS`` (a B-spline semi-metric) per fresh
+process, timed from before the package is imported to the end of the fit.
 
 The output also records the machine (CPU model, core count, the threads
 that run the package's row blocks, Python, numpy, scipy) and a digest of
@@ -199,6 +202,9 @@ CLI_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from funvar.cli import 
 
 COLD_IMPORT = "import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); " \
               "import funvar; print(time.perf_counter() - t0, 'scipy.interpolate' in sys.modules)"
+COLD_FIT = "import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); " \
+           "from funvar.cli import main; rc = main(sys.argv[2:]); " \
+           "print(time.perf_counter() - t0, 'scipy.interpolate' in sys.modules); sys.exit(rc)"
 COLD_STARTS = 5
 
 
@@ -217,26 +223,44 @@ def predict_peak_rss_mb(src: Path, *argv) -> float:
     return fresh_process("-c", CLI_MAIN, str(src.resolve()), *argv)[1]
 
 
-def cold_start(src: Path) -> dict:
-    """``import funvar`` (from ``src``) alone in ``COLD_STARTS`` fresh
-    processes: the median import time and peak resident memory, and
-    whether the import loaded ``scipy.interpolate``."""
+def cold_runs(name: str, script: str, src: Path, *argv) -> tuple[list, list, bool]:
+    """``script`` with ``src`` and ``argv`` in ``COLD_STARTS`` fresh
+    processes: the wall time each prints on its last line, each one's peak
+    resident memory, and whether ``scipy.interpolate`` was loaded."""
     walls, peaks = [], []
     for _ in range(COLD_STARTS):
-        out, peak_mb = fresh_process("-c", COLD_IMPORT, str(src.resolve()))
-        wall, interp = out.split()
+        out, peak_mb = fresh_process("-c", script, str(src.resolve()), *argv)
+        wall, interp = out.splitlines()[-1].split()
         walls.append(float(wall))
         peaks.append(peak_mb)
     interp = interp == "True"
-    print(f"cold start: import {statistics.median(walls):.3f} s, "
+    print(f"cold start: {name} {statistics.median(walls):.3f} s, "
           f"peak RSS {statistics.median(peaks):.1f} MB, scipy.interpolate loaded: {interp}")
+    return walls, peaks, interp
+
+
+def cold_start(src: Path, data: str) -> dict:
+    """``import funvar`` (from ``src``) alone, then a B-spline ``funvar fit``
+    of the training files in ``data``, each in ``COLD_STARTS`` fresh processes."""
+    walls, peaks, interp = cold_runs("import", COLD_IMPORT, src)
+    fit_walls, fit_peaks, fit_interp = cold_runs(
+        "bspline fit", COLD_FIT, src, "--output-dir", data, "fit",
+        "--curves", f"{data}/train_curves.csv", "--responses", f"{data}/train_responses.csv",
+        *CLI_FIT_FLAGS, "--model-out", "cold_model.json")
     return {"runs": COLD_STARTS, "import_s_median": statistics.median(walls),
             "import_s_all": walls, "peak_rss_mb_median": statistics.median(peaks),
-            "peak_rss_mb_all": peaks, "scipy_interpolate_loaded": interp}
+            "peak_rss_mb_all": peaks, "scipy_interpolate_loaded": interp,
+            "bspline_fit": {"fit_flags": list(CLI_FIT_FLAGS), "n_train": CLI_TRAIN,
+                            "wall_s_median": statistics.median(fit_walls),
+                            "wall_s_all": fit_walls,
+                            "peak_rss_mb_median": statistics.median(fit_peaks),
+                            "peak_rss_mb_all": fit_peaks,
+                            "scipy_interpolate_loaded": fit_interp}}
 
 
-def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> dict:
-    """The fastest of ``REPEATS`` CLI fit -> predict round trips."""
+def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> tuple[dict, dict]:
+    """The fastest of ``REPEATS`` CLI fit -> predict round trips, and the
+    :func:`cold_start` readings, which fit the same training files."""
 
     def run(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -268,6 +292,7 @@ def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> dict:
         peak_mb = predict_peak_rss_mb(
             src, "--output-dir", tmp, "predict", "--model", f"{tmp}/model.json",
             "--curves", f"{tmp}/query_curves.csv", "--out", "predictions.csv")
+        cold = cold_start(src, tmp)
     print(f"cli predict peak RSS: {peak_mb:.1f} MB")
     wall, fit_s, predict_s, layers, calls = best
     print_run("cli", wall, layers)
@@ -276,7 +301,7 @@ def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> dict:
             "round_trip_s_median": statistics.median(walls), "fit_s": fit_s,
             "predict_s": predict_s, "layers_s": layers,
             "layers_s_median": median_layers(all_layers), "calls": calls,
-            "predict_peak_rss_mb": peak_mb}
+            "predict_peak_rss_mb": peak_mb}, cold
 
 
 def main(argv=None) -> int:
@@ -313,7 +338,7 @@ def main(argv=None) -> int:
                          "layers_s": layers, "layers_s_median": median_layers(all_layers),
                          "calls": calls, "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
             print_run(f"n={n}", wall, layers)
-        cli_run = cli_round_trip(cli, clock, missing, args.src)
+        cli_run, cold = cli_round_trip(cli, clock, missing, args.src)
     finally:
         clock.uninstall()
     out = {"label": args.label, "machine": machine(),
@@ -321,7 +346,7 @@ def main(argv=None) -> int:
            "config": {"design": "ex2", "seed": 0, "stream": 0, "kernel": "quadratic",
                       "grid_size": 20, "methods": ["residual", "direct"],
                       "repeats": REPEATS},
-           "runs": runs, "cli_round_trip": cli_run, "cold_start": cold_start(args.src)}
+           "runs": runs, "cli_round_trip": cli_run, "cold_start": cold}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
