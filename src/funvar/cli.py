@@ -414,7 +414,7 @@ def _cmd_smallball(args) -> int:
     if not 0 <= args.index < len(cs):
         raise ValueError(f"--index {args.index} out of range for {len(cs)} curves")
     metric = TrainedMetric(_semimetric_from_args(args), cs)
-    d = metric.rows([args.index])[0]
+    d = metric.cross(cs.subset([args.index]))[0]
     hs = quantile_grid(d, args.size)
     fractions = [float(np.mean(d <= h)) for h in hs]
     out_name = args.out or ("smallball.json" if args.format == "json" else "smallball.csv")

@@ -237,9 +237,10 @@ def derivative_set(
 # --- Files -----------------------------------------------------------------
 #
 # Every file funvar writes reaches the disk through _atomic_write, and every
-# CSV through _write_rows. Curves: first row is the grid ("t" then
-# abscissae); each subsequent row is one curve's values. Responses: single
-# column with header "y", row-aligned with the curves file.
+# CSV through _write_rows; every number read from a CSV goes through
+# _parse_rows. Curves: first row is the grid ("t" then abscissae); each
+# subsequent row is one curve's values. Responses: single column with
+# header "y", row-aligned with the curves file.
 
 
 @contextmanager
@@ -277,8 +278,8 @@ def write_curves_csv(path: str | Path, cs: CurveSet) -> None:
     _write_rows(path, ["t", *cs.grid.points.tolist()], (row.tolist() for row in cs.values))
 
 
-# lines read_curves_csv parses at a time: about 2 MB of text for 101-point
-# curves, however long the file
+# lines read_curves_csv and read_responses_csv parse at a time: about 2 MB
+# of text for 101-point curves, however long the file
 _READ_LINES = 1024
 
 
@@ -292,22 +293,32 @@ def iter_curves_csv(path: str | Path, lines: int) -> Iterator[CurveSet]:
     """The curves of a curves file as consecutive sets of at most ``lines``
     curves each, read ``lines`` lines at a time, all on one shared grid.
 
-    Blank lines are skipped. ValueError, naming the line, for a row that is
-    not one finite number per grid point; ValueError for a file of no curves.
+    The rows after the grid are read by :func:`_row_chunks`. ValueError,
+    naming line 1, for a grid that is not 't' then 2 or more finite numbers.
     """
     with open(path) as f:
-        header = next(csv.reader([f.readline()]), [])
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: first row must be the grid, starting with 't'")
-        grid = Grid(np.array([float(v) for v in header[1:]]))
-        first, empty = 2, True
-        while chunk := list(islice(f, lines)):
-            if any(line.strip() for line in chunk):
-                yield CurveSet(grid, _parse_rows(path, chunk, first, grid.size))
-                empty = False
-            first += len(chunk)
+        line = f.readline()
+        header = next(csv.reader([line]), [])
+        if len(header) < 3 or header[0] != "t":
+            raise ValueError(f"{path}: first row must be the grid, 't' then 2+ points")
+        grid = Grid(_parse_rows(path, [line.partition(",")[2]], 1, len(header) - 1)[0])
+        for values in _row_chunks(path, f, lines, grid.size, "curve"):
+            yield CurveSet(grid, values)
+
+
+def _row_chunks(path, f: TextIO, lines: int, width: int, what: str) -> Iterator[np.ndarray]:
+    """The rows of numbers in the rest of ``f``, the file's lines from 2 on,
+    parsed ``lines`` lines at a time. Empty lines are skipped. ValueError,
+    naming the line, for a row that is not ``width`` finite numbers; a line
+    of only spaces is such a row. ValueError for a file of no rows."""
+    first, empty = 2, True
+    while chunk := list(islice(f, lines)):
+        if any(line.rstrip("\r\n") for line in chunk):
+            yield _parse_rows(path, chunk, first, width)
+            empty = False
+        first += len(chunk)
     if empty:
-        raise ValueError(f"{path}: no curve rows")
+        raise ValueError(f"{path}: no {what} rows")
 
 
 def _parse_rows(path, chunk: list[str], first: int, width: int) -> np.ndarray:
@@ -316,7 +327,7 @@ def _parse_rows(path, chunk: list[str], first: int, width: int) -> np.ndarray:
     would take several times its memory and fragment the heap."""
 
     def rows(lines):
-        # None unless every line holds one finite number per grid point
+        # None unless every line holds ``width`` finite numbers
         try:
             values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError:
@@ -325,10 +336,12 @@ def _parse_rows(path, chunk: list[str], first: int, width: int) -> np.ndarray:
 
     values = rows(chunk)
     if values is None:
-        # loadtxt counts rows within the chunk: find the line at fault
-        k = next((k for k, line in enumerate(chunk) if line.strip() and rows([line]) is None), 0)
-        raise ValueError(f"{path}: line {first + k} is not {width} numbers "
-                         "separated by commas, all finite")
+        # loadtxt counts rows within the chunk, less empty lines: find the line at fault
+        k = next((k for k, line in enumerate(chunk)
+                  if line.rstrip("\r\n") and rows([line]) is None), 0)
+        raise ValueError(f"{path}: line {first + k} is not " + (
+            "one finite number" if width == 1
+            else f"{width} numbers separated by commas, all finite"))
     return values
 
 
@@ -340,17 +353,10 @@ def write_responses_csv(path: str | Path, y: np.ndarray) -> None:
 
 
 def read_responses_csv(path: str | Path) -> np.ndarray:
-    """The responses; ValueError, naming the line, for a row not one finite number."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != ["y"]:
+    """The responses: a 'y' header, then rows of one finite number each,
+    read by :func:`_row_chunks`."""
+    with open(path) as f:
+        if next(csv.reader([f.readline()]), None) != ["y"]:
             raise ValueError(f"{path}: responses file must have a 'y' header")
-        y = []
-        for row in filter(None, reader):
-            try:
-                y.append(float(*row))  # TypeError for more than one cell
-            except (TypeError, ValueError):
-                y.append(np.nan)
-            if not np.isfinite(y[-1]):
-                raise ValueError(f"{path}: line {reader.line_num} is not one finite number")
-    return np.array(y, dtype=float)
+        chunks = list(_row_chunks(path, f, _READ_LINES, 1, "response"))
+    return np.concatenate(chunks)[:, 0]

@@ -10,7 +10,7 @@ cross-validation over a quantile-based candidate grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import squareform
@@ -122,11 +122,6 @@ class TrainedMetric:
         if key not in self._bins:
             self._bins[key] = PairBins(self.dist, hs, kernel)
         return self._bins[key]
-
-    def rows(self, idx) -> np.ndarray:
-        """Distances from the training curves ``idx`` (rows) to each training
-        curve; a curve's distance to itself is exactly zero."""
-        return pairwise_from_features(self.features[idx], self.features, self.weights)
 
     def cross(self, xs: CurveSet) -> np.ndarray:
         """Distances from each curve of ``xs`` (rows) to each training curve."""
@@ -337,23 +332,6 @@ def fit_variance(
                        self_inclusion, pseudo)
 
 
-def _variance_at(
-    fit: VarianceFit, dist: np.ndarray, mean: Callable[[], tuple]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variance predictions at the points whose distances to the training
-    curves, under the variance metric, are the rows of ``dist``.
-
-    ``mean()`` returns the mean predictions (values, fallback mask) at the
-    same points; only the direct method calls it.
-    """
-    smooth, fb = _smooth(fit, dist, fit.pseudo)
-    if fit.method == "residual":
-        return smooth, fb, np.zeros(len(smooth), dtype=bool)
-    m, fb_m = mean()
-    raw = smooth - m * m
-    return np.maximum(raw, 0.0), fb | fb_m, raw < 0.0
-
-
 def predict_variance(fit: VarianceFit, x: Curve) -> Prediction:
     """Variance estimate at x; nonnegative by construction.
 
@@ -379,15 +357,22 @@ def predict_variance_set(
     """
     if dist is None:
         dist = fit.metric.cross(xs)
-    return _variance_at(fit, dist, lambda: mean if mean is not None
-                        else predict_mean_set(fit.mean_fit, xs))
+    smooth, fb = _smooth(fit, dist, fit.pseudo)
+    if fit.method == "residual":
+        return smooth, fb, np.zeros(len(smooth), dtype=bool)
+    m, fb_m = predict_mean_set(fit.mean_fit, xs) if mean is None else mean
+    raw = smooth - m * m
+    return np.maximum(raw, 0.0), fb | fb_m, raw < 0.0
 
 
 def predict_variance_insample(
     fit: VarianceFit,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variance estimates at the training curves, from cached distances."""
-    return _variance_at(fit, fit.metric.dist, fit.mean_fit.fitted)
+    """:func:`predict_variance_set` at the training curves, from cached
+    distances and in-sample fitted means."""
+    return predict_variance_set(
+        fit, fit.mean_fit.train, fit.mean_fit.fitted() if fit.method == "direct" else None,
+        fit.metric.dist)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def test_a_non_finite_response_exits_3(tmp_path, bad):
                "--responses", resp_f) == 3
 
 
-@pytest.mark.parametrize("bad", ["1.0,2.0", "abc"])
+@pytest.mark.parametrize("bad", ["1.0,2.0", "abc", "1_000", "   "])
 def test_a_malformed_response_row_exits_3_and_names_its_line(tmp_path, capsys, bad):
     curves_f, resp_f = simulate_small(tmp_path, n=10, seed=23)
     lines = Path(resp_f).read_text().splitlines()
@@ -135,6 +135,20 @@ def test_a_malformed_response_row_exits_3_and_names_its_line(tmp_path, capsys, b
     assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
                "--responses", resp_f) == 3
     assert "line 5 is not one finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["fit"],
+    ["chemo", "--train-size", 5, "--mean-order", 0, "--orders", "0",
+     "--deriv-method", "finite_diff"],
+])
+def test_a_responses_file_of_only_its_header_exits_3(tmp_path, capsys, command):
+    curves_f, resp_f = simulate_small(tmp_path, n=10, seed=23)
+    Path(resp_f).write_text("y\n")
+    assert run("--output-dir", tmp_path, command[0], "--curves", curves_f,
+               "--responses", resp_f, *command[1:]) == 3
+    assert f"cannot read responses from {resp_f}: {resp_f}: no response rows" in (
+        capsys.readouterr().err)
 
 
 def test_a_non_finite_curve_sample_exits_3_and_names_its_line(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ def test_curves_csv_in_chunks_are_the_whole_file_in_order(tmp_path):
 
 
 @pytest.mark.parametrize("lines", [1, 4, 1024])
-@pytest.mark.parametrize("row", ["1.0,x,2.0", "1.0,2.0", "1.0,2.0,3.0,4.0"])
+@pytest.mark.parametrize("row", ["1.0,x,2.0", "1.0,2.0", "1.0,2.0,3.0,4.0", "   ", "\t"])
 def test_a_malformed_row_is_named_by_its_line_in_the_file(tmp_path, lines, row):
     body = ["0.5,1.5,2.5"] * 12
     body.insert(3, "")  # blank lines count as lines
@@ -384,6 +385,19 @@ def test_a_malformed_row_is_named_by_its_line_in_the_file(tmp_path, lines, row):
         read_curves_csv(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    *[(h, "line 1 is not") for h in ("t,0,1_0", "t,0,x", "t,0,inf", "t,0,1,", "t,0,1;2")],
+    *[(h, "first row must be the grid") for h in ("", "t", "t,0", "t,", "x,0,1")],
+])
+def test_a_grid_that_is_not_2_or_more_finite_numbers_is_refused(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n1,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns of a line with no data
+        with pytest.raises(ValueError, match=message):
+            read_curves_csv(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_responses_are_never_written(tmp_path, bad):
     path = tmp_path / "y.csv"
@@ -392,7 +406,8 @@ def test_non_finite_responses_are_never_written(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
 
 
-@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,", "abc", '""', "nan", "-inf", "1e400"])
+@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,", "abc", '""', "nan", "-inf", "1e400",
+                                 "1_000", "   "])
 def test_responses_csv_refuses_a_row_that_is_not_one_finite_number(tmp_path, row):
     path = tmp_path / "y.csv"
     path.write_text(f"y\n0.5\n\n{row}\n2.5\n")  # the blank line counts as a line
@@ -404,6 +419,16 @@ def test_responses_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text('y\n0.5\n\n"2.5"\n-1\n\n')
     assert_array_equal(read_responses_csv(path), [0.5, 2.5, -1.0])
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+def test_a_responses_file_of_no_rows_is_refused_before_it_is_parsed(tmp_path, body):
+    path = tmp_path / "y.csv"
+    path.write_bytes(f"y\n{body}".encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns of a file with no data
+        with pytest.raises(ValueError, match=r"y\.csv: no response rows"):
+            read_responses_csv(path)
 
 
 def test_responses_csv_rejects_bad_header(tmp_path):
