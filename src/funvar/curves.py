@@ -156,6 +156,14 @@ def _bspline_basis(x: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     return b
 
 
+# the largest condition number of a least-squares B-spline design that a
+# derivative operator is built from. Designs whose every knot span holds grid
+# points measure 4.6-25 at degrees 3-5; past about 1e3 the knots outrun the
+# grid, and the operator's entries grow from tens to 1e5 and beyond, so it
+# differentiates the noise in the samples rather than the curve
+_SPLINE_COND_MAX = 1e3
+
+
 @lru_cache(maxsize=8)
 def _spline_operator(grid: Grid, order: int, knots: int, degree: int) -> np.ndarray:
     """The T x T matrix D that takes a curve's samples to the analytic
@@ -169,9 +177,12 @@ def _spline_operator(grid: Grid, order: int, knots: int, degree: int) -> np.ndar
                          f"{knots + degree + 1} grid points, got {grid.size}")
     t, k = _spline_knots(grid.points, knots, degree), degree
     design = _bspline_basis(grid.points, t, k)
-    coef, _, rank, _ = np.linalg.lstsq(design, np.eye(grid.size), rcond=None)
+    coef, _, rank, sv = np.linalg.lstsq(design, np.eye(grid.size), rcond=None)
     if rank < design.shape[1]:
         raise ValueError(f"rank-deficient spline design (too many knots?): rank {rank}")
+    if sv[0] > _SPLINE_COND_MAX * sv[-1]:
+        raise ValueError(f"ill-conditioned spline design (too many knots for the grid?): "
+                         f"condition number {sv[0] / sv[-1]:.3g} above {_SPLINE_COND_MAX:g}")
     for _ in range(order):  # a spline's derivative: one degree less, on the inner knots
         coef = k * np.diff(coef, axis=0) / (t[k + 1:-1] - t[1:-k - 1])[:, None]
         t, k = t[1:-1], k - 1
@@ -195,7 +206,8 @@ def derivative(
     ``finite_diff`` applies repeated central differences with first-order
     one-sided stencils at the endpoints. ``bspline`` fits a least-squares
     spline (interior knots at grid quantiles) and evaluates its analytic
-    derivative; requires degree > order and knots + degree + 1 <= T.
+    derivative; requires degree > order, knots + degree + 1 <= T and a
+    design of condition number at most 1000.
     Order 0 returns the curve unchanged.
     """
     out = derivative_set(

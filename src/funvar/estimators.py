@@ -473,8 +473,9 @@ class PairBins:
         def bin_rows(lo, hi):
             bins = self.bins[lo:hi]
             bins.fill(k)
+            counted = _blocks.scratch("counted", bins.shape, bool)
             for h in hs:
-                bins -= counts(dist[lo:hi], h)
+                bins -= counts(dist[lo:hi], h, out=counted)
 
         _blocks.run(bin_rows, _blocks.row_blocks(n, n), n * n)
         np.fill_diagonal(self.bins, k)  # the last bin counts for no bandwidth
@@ -497,17 +498,27 @@ class PairBins:
         def sum_rows(lo, hi):
             bins = self.bins[lo:hi]
             b = hi - lo
-            keys = (np.arange(b)[:, None] * (k + 1) + bins).ravel()
+            keys = _blocks.scratch("keys", bins.shape, np.intp)
+            np.add(np.arange(b)[:, None] * (k + 1), bins, out=keys)
+            # one buffer holds the weights y_j of the row block, then d^p y_j
+            w = _blocks.scratch("w", bins.shape, float)
 
-            def cumulate(w, out):
-                m = np.bincount(keys, w, minlength=b * (k + 1)).reshape(b, k + 1)
+            def cumulate(weights, out):
+                m = np.bincount(keys.ravel(), weights, minlength=b * (k + 1)).reshape(b, k + 1)
                 np.cumsum(m[:, :k], axis=1, out=out[lo:hi])
 
-            yy = None if y is None else np.broadcast_to(y, bins.shape)
-            cumulate(None if y is None else yy.ravel(), plain)
+            if y is not None:
+                np.copyto(w, y)
+            cumulate(None if y is None else w.ravel(), plain)
             if self.p:
-                dp = self.dist[lo:hi] ** self.p
-                cumulate((dp if y is None else dp * yy).ravel(), powered)
+                d = self.dist[lo:hi]
+                if self.p == 2:  # d * d, the same bits as d ** 2
+                    np.multiply(d, d, out=w)
+                else:
+                    np.copyto(w, d)
+                if y is not None:
+                    w *= y
+                cumulate(w.ravel(), powered)
 
         _blocks.run(sum_rows, _blocks.row_blocks(n, n), n * n)
         return plain, powered

@@ -128,7 +128,7 @@ def weight_matrix(
     empty = np.empty(n, dtype=bool)
 
     def smooth_rows(lo, hi):
-        block = out[lo:hi] if values is None else np.empty((hi - lo, m))
+        block = out[lo:hi] if values is None else _blocks.scratch("w", (hi - lo, m), float)
         _apply_kernel(np.divide(dist[lo:hi], bandwidth, out=block), p)
         if exclude_diag:
             on_diag = np.arange(lo, min(hi, m))

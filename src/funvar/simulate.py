@@ -118,8 +118,13 @@ def gen_sin_curves(
     slope = params[:, 1:2] + 2.0 * np.pi
     b = params[:, 2:3]
     t = grid.points[None, :]
-    values = np.sin(w * t) + slope * t + b
-    deriv = w * np.cos(w * t) + slope
+    wt = w * t
+    values = np.sin(wt)
+    values += slope * t
+    values += b
+    deriv = np.cos(wt, out=wt)
+    deriv *= w
+    deriv += slope
     return CurveSet(grid, values), CurveSet(grid, deriv), params
 
 

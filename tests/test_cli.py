@@ -22,6 +22,7 @@ from funvar.curves import (
     Grid,
     read_curves_csv,
     read_responses_csv,
+    uniform_grid,
     write_curves_csv,
     write_responses_csv,
 )
@@ -671,3 +672,16 @@ def test_a_rank_deficient_spline_design_exits_4(tmp_path):
     assert run("--output-dir", tmp_path, "fit", "--curves", tmp_path / "c.csv",
                "--responses", tmp_path / "r.csv", "--deriv-method", "bspline",
                "--order", 1, "--knots", 5, "--grid-size", 6) == 4
+
+
+def test_an_ill_conditioned_spline_design_exits_4(tmp_path, capsys):
+    # 97 knots on 101 points: condition number 1.5e7, see test_curves
+    rng = np.random.default_rng(5)
+    write_curves_csv(tmp_path / "c.csv",
+                     CurveSet(uniform_grid(101), rng.standard_normal((12, 101))))
+    write_responses_csv(tmp_path / "r.csv", rng.standard_normal(12))
+    assert run("--output-dir", tmp_path, "fit", "--curves", tmp_path / "c.csv",
+               "--responses", tmp_path / "r.csv", "--deriv-method", "bspline",
+               "--order", 1, "--knots", 97, "--grid-size", 6) == 4
+    assert "ill-conditioned spline design" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()

@@ -208,6 +208,21 @@ def test_a_rank_deficient_spline_design_is_refused():
                        knots=5, degree=3)
 
 
+def test_an_ill_conditioned_spline_design_is_refused():
+    # on 101 uniform points the default design (20 knots, degree 3) has
+    # condition number 4.7; 97 knots have 1.5e7 and entries up to 7e8
+    g = uniform_grid(101)
+    assert np.abs(_spline_operator(g, 1, 20, 3)).max() < 100
+    for order, knots, degree in ((1, 97, 3), (1, 95, 3), (2, 90, 4), (1, 80, 5)):
+        with pytest.raises(ValueError, match="^ill-conditioned spline design"):
+            _spline_operator(g, order, knots, degree)
+    with pytest.raises(ValueError, match="condition number 1.52e[+]07 above 1000$"):
+        derivative_set(CurveSet(g, np.ones((2, 101))), 1, "bspline", knots=97, degree=3)
+    # the most knots of each degree below the bound, in steps of 10
+    for knots, degree in ((90, 3), (80, 4), (70, 5)):
+        assert np.all(np.isfinite(_spline_operator(g, 1, knots, degree)))
+
+
 def test_derivative_unknown_method():
     g = uniform_grid(8)
     with pytest.raises(ValueError):

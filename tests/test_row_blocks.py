@@ -1,11 +1,16 @@
 """Row blocks of the distances and the kernel smooths on the shared pool:
-the same bits as the whole-matrix computations, at any number of workers."""
+the same bits as the whole-matrix computations, at any number of workers,
+and the scratch buffers that small passes keep."""
 
+import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ from numpy.testing import assert_array_equal
 from scipy.spatial.distance import cdist, pdist, squareform
 
 import funvar._blocks as blocks
-from funvar.bench import ExperimentConfig, run_experiment, serialize_report
+from funvar.bench import ExperimentConfig, canonical_json, run_experiment, run_replication, \
+    serialize_report
 from funvar.curves import CurveSet, uniform_grid
 from funvar.estimators import PairBins, TrainedMetric, default_bandwidth_grid
 from funvar.kernels import (
@@ -294,3 +300,105 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
     os.waitpid(pid, 0)
     with os.fdopen(read, "rb") as answer:
         assert answer.read() == b"1"
+
+
+def test_each_thread_keeps_its_own_scratch_per_slot_and_dtype():
+    first = blocks.scratch("test", (40, 50), float)
+    again = blocks.scratch("test", (50, 40), float)
+    assert again.shape == (50, 40) and again.flags.c_contiguous
+    assert np.shares_memory(first, again)
+    smaller = blocks.scratch("test", (3, 7), float)
+    assert smaller.shape == (3, 7) and np.shares_memory(first, smaller)
+    assert not np.shares_memory(first, blocks.scratch("other", (40, 50), float))
+    as_int = blocks.scratch("test", (40, 50), np.intp)
+    assert as_int.dtype == np.intp and not np.shares_memory(first, as_int)
+    # a larger request within the cap replaces the kept buffer, and is kept
+    larger = blocks.scratch("test", (blocks.SCRATCH_CELLS,), float)
+    assert np.shares_memory(larger, blocks.scratch("test", (2, 3), float))
+    # two live threads at once: each gets its own buffer, and keeps it
+    both = threading.Barrier(2)
+    other = []
+
+    def take():
+        other.append((blocks.scratch("test", (40, 50), float),
+                      blocks.scratch("test", (40, 50), float)))
+        both.wait(timeout=30)
+
+    threads = [threading.Thread(target=take) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    (a1, a2), (b1, b2) = other
+    assert np.shares_memory(a1, a2) and np.shares_memory(b1, b2)
+    assert not np.shares_memory(a1, b1)
+    assert not any(np.shares_memory(x, larger) for x in (a1, b1))
+
+
+def test_a_pool_worker_or_a_request_above_the_cap_keeps_nothing():
+    big = (blocks.SCRATCH_CELLS + 1,)
+    assert not np.shares_memory(blocks.scratch("test", big, float),
+                                blocks.scratch("test", big, float))
+    assert blocks.scratch("test", big, float).shape == big
+
+    def twice():
+        assert threading.current_thread().name.startswith("funvar-rows")
+        return blocks.scratch("test", (4, 4), float), blocks.scratch("test", (4, 4), float)
+
+    futures = [blocks._shared_pool().submit(twice) for _ in range(4)]
+    for future in futures:
+        a, b = future.result()
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_a_result_is_unchanged_by_a_later_call_with_other_values(kernel):
+    rng = np.random.default_rng(87)
+    d = distance_matrix(SPEC0, random_set(200, 88))
+    assert d.size <= blocks.SCRATCH_CELLS  # one kept block per pass
+    hs = default_bandwidth_grid(d, 20)
+    bins = PairBins(d, hs, kernel)
+    y1, y2 = rng.standard_normal(200), rng.standard_normal(200)
+    fits = bins.loo_fits(y1)
+    want = fits.copy()
+    smooth, fb = weight_matrix(d, hs[3], kernel, values=y1)
+    want_smooth, want_fb = smooth.copy(), fb.copy()
+    for y in (y2, y1 * 1e6):
+        bins.loo_fits(y)
+        PairBins(d, hs[::2], kernel).loo_fits(y)
+        weight_matrix(d, hs[10], kernel, exclude_diag=True, values=y)
+    assert_array_equal(fits, want)
+    assert_array_equal(smooth, want_smooth)
+    assert_array_equal(fb, want_fb)
+    for slot, dtype in (("w", float), ("keys", np.intp), ("counted", bool)):
+        kept = blocks.scratch(slot, d.shape, dtype)
+        assert not any(np.shares_memory(kept, r) for r in (fits, smooth, bins.den, bins.bins))
+    # and equal to a fresh thread's, whose buffers hold nothing stale
+    fresh = []
+    thread = threading.Thread(target=lambda: fresh.append(
+        (PairBins(d, hs, kernel).loo_fits(y1), weight_matrix(d, hs[3], kernel, values=y1)[0])))
+    thread.start()
+    thread.join()
+    assert_array_equal(fresh[0][0], want)
+    assert_array_equal(fresh[0][1], want_smooth)
+
+
+ONE_REPLICATION = """
+import sys
+from funvar.bench import ExperimentConfig, canonical_json, run_replication
+print(canonical_json(run_replication(ExperimentConfig("ex3", n=200, base_seed=4),
+                                     int(sys.argv[1])).to_dict()), end="")
+"""
+
+
+def test_replications_in_one_process_match_fresh_processes():
+    # the second replication runs on the buffers the first one left behind
+    cfg = ExperimentConfig("ex3", n=200, base_seed=4)
+    here = [canonical_json(run_replication(cfg, k).to_dict()) for k in (0, 1)]
+    src = str(Path(blocks.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = [subprocess.run([sys.executable, "-c", ONE_REPLICATION, str(k)], env=env,
+                            check=True, capture_output=True, text=True).stdout
+             for k in (0, 1)]
+    assert here == fresh
+    assert not any(json.loads(r)["failed"] for r in here)

@@ -67,6 +67,14 @@ def test_sin_curve_value_at_zero_is_b():
     assert_allclose(cs.values[:, 0], np.sin(0.0) + params[:, 2], atol=1e-12)
 
 
+def test_sin_curves_are_the_formula_bit_for_bit():
+    g = uniform_grid(101, 0.0, 1.0)
+    cs, ds, params = gen_sin_curves(50, g, np.random.default_rng(5))
+    w, slope, b, t = params[:, :1], params[:, 1:2] + 2.0 * np.pi, params[:, 2:3], g.points
+    assert_array_equal(cs.values, np.sin(w * t) + slope * t + b)
+    assert_array_equal(ds.values, w * np.cos(w * t) + slope)
+
+
 def test_sin_analytic_derivative_matches_finite_differences():
     g = uniform_grid(201, 0.0, 1.0)
     cs, ds, _ = gen_sin_curves(5, g, np.random.default_rng(4))

@@ -10,7 +10,11 @@ n in ``SIZES`` it draws one ex2 dataset (seed 0, stream 0) and times
 ``run_replication`` on it ``REPEATS`` times (default grid of 20 candidates,
 quadratic kernel, both variance methods). The fastest replication is kept,
 with its time per layer, and beside it each layer's median over the
-``REPEATS`` runs. A layer's time is the time spent in these functions,
+``REPEATS`` runs, and the minor page faults (``ru_minflt``) of every
+replication. ``ex3_run`` holds the same for one ex3 dataset at
+``EX3_SIZE`` curves, the size of the benchmark's ``mc_ex3_n200``
+workload, timed first, as in that workload's own process, and
+``EX3_REPEATS`` times. A layer's time is the time spent in these functions,
 found by identity in every ``funvar`` module and wrapped for the run:
 
 * ``features``: ``semimetric.feature_matrix`` (derivatives, spline or
@@ -28,7 +32,8 @@ It then times the CLI round trip ``funvar fit`` then ``funvar predict``
 in process, ``REPEATS`` times, on the sizes of the benchmark's
 ``cli_ex3_fit_predict`` workload (``CLI_TRAIN`` ex3 training curves,
 seed 0 stream 0; ``CLI_QUERIES`` query curves, stream 1; ``CLI_FIT_FLAGS``),
-and keeps the fastest round trip with the same layers and medians; there
+and keeps the fastest round trip with the same layers and medians, and
+the minor page faults of every round trip; there
 ``in_sample_fits`` also holds the smooths at the query curves, and
 ``other`` the CSV reading and writing. ``predict_peak_rss_mb`` is the
 peak resident memory (``ru_maxrss``, in 10^6 bytes) of one more
@@ -56,6 +61,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -66,6 +72,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # fixed, so that any two BENCH files compare
 SIZES = (200, 800, 2000)
+EX3_SIZE = 200
+# a replication at EX3_SIZE takes about 5 ms: more of them, for a steadier best
+EX3_REPEATS = 49
 REPEATS = 7
 CLI_TRAIN = 500
 CLI_QUERIES = 5000
@@ -139,6 +148,11 @@ class LayerClock:
     def reset(self):
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.calls = dict.fromkeys(LAYERS, 0)
+
+
+def minor_faults() -> int:
+    """Minor page faults of this process so far, over all its threads."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def machine() -> dict:
@@ -274,9 +288,11 @@ def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> tuple[dic
                 "--n", str(n), "--stream", str(stream), "--stem", stem)
         best = None
         walls = []
+        faults = []
         all_layers = []
         for _ in range(REPEATS):
             clock.reset()
+            f0 = minor_faults()
             t0 = time.perf_counter()
             run("--output-dir", tmp, "fit", "--curves", f"{tmp}/train_curves.csv",
                 "--responses", f"{tmp}/train_responses.csv", *CLI_FIT_FLAGS,
@@ -285,6 +301,7 @@ def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> tuple[dic
             run("--output-dir", tmp, "predict", "--model", f"{tmp}/model.json",
                 "--curves", f"{tmp}/query_curves.csv", "--out", "predictions.csv")
             t2 = time.perf_counter()
+            faults.append(minor_faults() - f0)
             walls.append(t2 - t0)
             all_layers.append(layer_times(clock.seconds, missing, t2 - t0))
             if best is None or t2 - t0 < best[0]:
@@ -296,12 +313,49 @@ def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> tuple[dic
     print(f"cli predict peak RSS: {peak_mb:.1f} MB")
     wall, fit_s, predict_s, layers, calls = best
     print_run("cli", wall, layers)
+    print(f"cli minor faults per round trip: median {statistics.median(faults)}")
     return {"n_train": CLI_TRAIN, "queries": CLI_QUERIES, "fit_flags": list(CLI_FIT_FLAGS),
             "round_trip_s": wall, "round_trip_s_all": walls,
             "round_trip_s_median": statistics.median(walls), "fit_s": fit_s,
             "predict_s": predict_s, "layers_s": layers,
             "layers_s_median": median_layers(all_layers), "calls": calls,
-            "predict_peak_rss_mb": peak_mb}, cold
+            "predict_peak_rss_mb": peak_mb, "minor_faults_all": faults,
+            "minor_faults_median": statistics.median(faults)}, cold
+
+
+def replication_run(design: str, n: int, clock: LayerClock, missing: set,
+                    repeats: int = REPEATS) -> dict:
+    """The fastest of ``repeats`` replications of one dataset of ``design``
+    at ``n`` (seed 0, stream 0), with its layers, the per-layer medians and
+    the minor page faults of every replication."""
+    from funvar.bench import ExperimentConfig, run_replication
+    from funvar.simulate import SimSpec, gen_dataset
+
+    cfg = ExperimentConfig(design, n=n, n_reps=1)
+    ds = gen_dataset(SimSpec(design, n, 0, 0))
+    best = None
+    walls = []
+    faults = []
+    all_layers = []
+    for _ in range(repeats):
+        clock.reset()
+        f0 = minor_faults()
+        t0 = time.perf_counter()
+        rec = run_replication(cfg, 0, dataset=ds)
+        wall = time.perf_counter() - t0
+        faults.append(minor_faults() - f0)
+        walls.append(wall)
+        all_layers.append(layer_times(clock.seconds, missing, wall))
+        if best is None or wall < best[0]:
+            best = (wall, all_layers[-1], dict(clock.calls), rec)
+    wall, layers, calls, rec = best
+    print_run(f"{design} n={n}", wall, layers)
+    print(f"{design} n={n} minor faults per replication: median {statistics.median(faults)}")
+    return {"n": n, "replication_s": wall, "replication_s_all": walls,
+            "replication_s_median": statistics.median(walls),
+            "layers_s": layers, "layers_s_median": median_layers(all_layers),
+            "calls": calls, "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse,
+            "minor_faults_all": faults, "minor_faults_median": statistics.median(faults)}
 
 
 def main(argv=None) -> int:
@@ -310,34 +364,14 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # before numpy loads its BLAS
     sys.path.insert(0, str(args.src.resolve()))
     from funvar import cli  # before the clock installs, so its names are wrapped too
-    from funvar.bench import ExperimentConfig, run_replication
-    from funvar.simulate import SimSpec, gen_dataset
 
     clock = LayerClock()
     missing = clock.install()
-    runs = []
     try:
-        for n in SIZES:
-            cfg = ExperimentConfig("ex2", n=n, n_reps=1)
-            ds = gen_dataset(SimSpec("ex2", n, 0, 0))
-            best = None
-            walls = []
-            all_layers = []
-            for _ in range(REPEATS):
-                clock.reset()
-                t0 = time.perf_counter()
-                rec = run_replication(cfg, 0, dataset=ds)
-                wall = time.perf_counter() - t0
-                walls.append(wall)
-                all_layers.append(layer_times(clock.seconds, missing, wall))
-                if best is None or wall < best[0]:
-                    best = (wall, all_layers[-1], dict(clock.calls), rec)
-            wall, layers, calls, rec = best
-            runs.append({"n": n, "replication_s": wall, "replication_s_all": walls,
-                         "replication_s_median": statistics.median(walls),
-                         "layers_s": layers, "layers_s_median": median_layers(all_layers),
-                         "calls": calls, "h_m": rec.h_m, "h_v": rec.h_v, "mse": rec.mse})
-            print_run(f"n={n}", wall, layers)
+        # first, as in the benchmark's own process: once a larger run has
+        # freed large arrays, the C allocator trims the heap less often
+        ex3_run = replication_run("ex3", EX3_SIZE, clock, missing, EX3_REPEATS)
+        runs = [replication_run("ex2", n, clock, missing) for n in SIZES]
         cli_run, cold = cli_round_trip(cli, clock, missing, args.src)
     finally:
         clock.uninstall()
@@ -346,7 +380,7 @@ def main(argv=None) -> int:
            "config": {"design": "ex2", "seed": 0, "stream": 0, "kernel": "quadratic",
                       "grid_size": 20, "methods": ["residual", "direct"],
                       "repeats": REPEATS},
-           "runs": runs, "cli_round_trip": cli_run, "cold_start": cold}
+           "runs": runs, "ex3_run": ex3_run, "cli_round_trip": cli_run, "cold_start": cold}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
