@@ -77,6 +77,12 @@ class PipelineConfig:
         _check_variance(self.self_inclusion, *(m for m, _, _ in self.stages))
         if self.grid_size < 1:
             raise ValueError("bandwidth grid size must be positive")
+        # spec equality ignores a projection's basis, so the bases are compared too
+        for i, (method, spec_v, h_v) in enumerate(self.stages):
+            if any(s == (method, spec_v, h_v) and np.array_equal(
+                    getattr(s[1], "basis", None), getattr(spec_v, "basis", None))
+                   for s in self.stages[:i]):
+                raise ValueError(f"duplicate stage: {method} on {spec_v!r}, h_v={h_v}")
 
     def to_config(self) -> dict:
         """The ``model.json`` fields of a one-stage pipeline, else ValueError."""
@@ -119,8 +125,6 @@ class ExperimentConfig:
         if self.n_reps < 1:
             raise ValueError("n_reps must be positive")
         self.pipeline  # checks the kernel, grid size, self-inclusion mode and methods
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate methods")
 
     @property
     def resolved_spec(self) -> SemiMetricSpec:
@@ -134,17 +138,10 @@ class ExperimentConfig:
                               grid_size=self.grid_size, self_inclusion=self.self_inclusion)
 
     def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "n": self.n,
-            "n_reps": self.n_reps,
-            "base_seed": self.base_seed,
-            "semimetric": self.resolved_spec.to_config(),
-            "kernel": self.kernel,
-            "grid_size": self.grid_size,
-            "self_inclusion": self.self_inclusion,
-            "methods": list(self.methods),
-        }
+        d = asdict(self)
+        del d["spec"]
+        return {**d, "semimetric": self.resolved_spec.to_config(),
+                "methods": list(self.methods)}
 
 
 @dataclass(frozen=True)
@@ -234,20 +231,18 @@ class PipelineFit:
     def predict(self, xs: CurveSet) -> tuple[tuple, tuple[tuple, ...]]:
         """The mean's (values, fallback mask) and each stage's (values,
         fallback mask, clip mask) at ``xs``. Each metric's distances from
-        ``xs`` are built once and dropped after the last fit on it."""
+        ``xs`` are built once, used by every fit on that metric, the mean's
+        first, and dropped before the next metric's are built."""
         fits = (self.mean, *self.variances)
-        blocks: dict = {}
-
-        def block(i):
-            metric = fits[i].metric
-            d = blocks.pop(metric) if metric in blocks else metric.cross(xs)
-            if any(f.metric is metric for f in fits[i + 1:]):
-                blocks[metric] = d
-            return d
-
-        mean = predict_mean_set(self.mean, xs, block(0))
-        return mean, tuple(predict_variance_set(v, xs, mean, block(i))
-                           for i, v in enumerate(self.variances, 1))
+        out: list = [None] * len(fits)
+        for metric in dict.fromkeys(f.metric for f in fits):
+            d = metric.cross(xs)
+            for i, f in enumerate(fits):
+                if f.metric is metric:
+                    out[i] = (predict_mean_set(f, xs, d) if i == 0
+                              else predict_variance_set(f, xs, out[0], d))
+            del d
+        return out[0], tuple(out[1:])
 
 
 def fit_pipeline(

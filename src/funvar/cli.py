@@ -27,7 +27,6 @@ import numpy as np
 from ._blocks import chunk_rows
 from .bench import (
     ChemoConfig,
-    ExperimentAbortError,
     ExperimentConfig,
     PipelineConfig,
     canonical_json,
@@ -50,17 +49,11 @@ from .curves import (
 from .estimators import (
     SELF_INCLUSION_MODES,
     VARIANCE_METHODS,
-    BandwidthSelectionError,
     TrainedMetric,
     predict_variance_insample,
     quantile_grid,
 )
-from .kernels import (
-    KERNEL_KINDS,
-    POLICY_FALLBACK,
-    WEIGHT_POLICIES,
-    EmptyNeighborhoodError,
-)
+from .kernels import KERNEL_KINDS, POLICY_FALLBACK, WEIGHT_POLICIES
 from .semimetric import DERIV_METHODS, SEMIMETRIC_KINDS, SemiMetricSpec
 from .simulate import DESIGNS, SimSpec, gen_dataset
 
@@ -310,9 +303,10 @@ def _load_model(path: str) -> tuple[dict, PipelineConfig]:
         with open(path, encoding="utf-8") as f:
             model = json.load(f)
         files = ("curves_file", "responses_file", "curves_sha256", "responses_sha256")
-        missing = [k for k in files if not isinstance(model, dict) or k not in model]
-        if missing:
-            raise ValueError(f"missing fields: {', '.join(missing)}")
+        bad = [k for k in files
+               if not isinstance(model, dict) or not isinstance(model.get(k), str)]
+        if bad:
+            raise ValueError(f"missing or non-string fields: {', '.join(bad)}")
         return model, PipelineConfig.from_config(model)
 
 
@@ -447,8 +441,7 @@ def dispatch(args) -> int:
     except (CliIoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BandwidthSelectionError, EmptyNeighborhoodError, ExperimentAbortError,
-            ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -58,6 +58,9 @@ class TrainedMetric:
             dist = np.asarray(dist, dtype=float)
             if dist.shape != (len(train), len(train)):
                 raise ValueError("expected the self-distance matrix of the training curves")
+            # the kernel is zero below 0, but PairBins counts d < h as a neighbor
+            if not (np.isfinite(dist).all() and (dist >= 0).all()):
+                raise ValueError("given distances must be finite and nonnegative")
         self._spec = spec
         self.train = train
         self._features = None

@@ -33,7 +33,7 @@ from funvar.estimators import (
     squared_residuals,
 )
 from funvar.kernels import POLICY_FALLBACK
-from funvar.semimetric import SemiMetricSpec, distance_matrix
+from funvar.semimetric import SemiMetricSpec, distance_matrix, train_projection
 from funvar.simulate import SimSpec, dataset_from_parts, gen_dataset
 
 
@@ -104,6 +104,21 @@ def test_config_validation():
 def test_pipeline_config_refuses_a_bad_field_when_built(bad):
     with pytest.raises(ValueError):
         PipelineConfig(SemiMetricSpec.deriv_l2(), **bad)
+
+
+def test_pipeline_config_refuses_only_identical_stages():
+    spec = SemiMetricSpec.deriv_l2()
+    pca_a, pca_b = (train_projection(SemiMetricSpec.pca_projection(1),
+                                     gen_dataset(SimSpec("ex1", 10, seed)).curves)
+                    for seed in (1, 2))
+    # another method, h_v, spec or trained basis makes a stage distinct
+    stages = [("residual", spec, None), ("direct", spec, None), ("residual", spec, 1.0),
+              ("residual", SemiMetricSpec.deriv_l2(1), None), ("residual", pca_a, None),
+              ("residual", pca_b, None)]
+    assert len(PipelineConfig(spec, stages=stages).stages) == 6
+    for repeat in (("residual", SemiMetricSpec.deriv_l2(), None), ("residual", pca_a, None)):
+        with pytest.raises(ValueError, match=r"^duplicate stage: residual on SemiMetricSpec\("):
+            PipelineConfig(spec, stages=[*stages, repeat])
 
 
 @pytest.mark.parametrize("spec", [

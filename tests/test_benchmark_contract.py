@@ -1,7 +1,8 @@
 """The benchmark in ``perfbench/`` traces funvar's layer functions by name and
-counts their work from the arguments it binds. These tests read its
-``spans.py`` and ``workloads.py`` without changing or compiling them into
-that directory, and check that funvar still offers what they use."""
+counts their work from the arguments it binds, and ``tools/bench_layers.py``
+times layer functions found by name. These tests read those scripts without
+running them, changing them or compiling them into their directories, and
+check that funvar still offers what they use."""
 
 import contextlib
 import importlib
@@ -16,14 +17,13 @@ import pytest
 
 from funvar import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load(name):
-    """``perfbench/<name>.py`` as a module, compiled in memory (no __pycache__)."""
-    path = PERFBENCH / f"{name}.py"
+def load(path):
+    """The script at ``path`` as a module, compiled in memory (no __pycache__)."""
     module = importlib.util.module_from_spec(
-        importlib.util.spec_from_loader(f"perfbench_{name}", loader=None))
+        importlib.util.spec_from_loader(f"loaded_{path.stem}", loader=None))
     module.__file__ = str(path)
     sys.modules[module.__name__] = module  # dataclasses look their module up
     try:
@@ -35,7 +35,7 @@ def load(name):
 
 @pytest.fixture(scope="module")
 def spans():
-    return load("spans")
+    return load(ROOT / "perfbench" / "spans.py")
 
 
 def test_every_traced_layer_is_a_funvar_function_with_the_arguments_it_counts(spans):
@@ -52,8 +52,19 @@ def test_every_traced_layer_is_a_funvar_function_with_the_arguments_it_counts(sp
     assert read >= {"path", "xs", "dist", "fa", "fb", "w", "spec", "cs", "order"}
 
 
+def test_every_layer_bench_layers_times_is_a_funvar_function():
+    # the script writes null for a layer it cannot find, so a rename would
+    # go unnoticed there
+    layers = load(ROOT / "tools" / "bench_layers.py").LAYERS
+    for layer, (module, path) in layers.items():
+        fn = importlib.import_module(f"funvar.{module}")
+        for attr in path.split("."):
+            fn = getattr(fn, attr, None)
+        assert inspect.isfunction(fn), layer
+
+
 def test_the_cli_round_trip_calls_the_predictors_the_benchmark_requires(tmp_path, spans):
-    flags = load("workloads").CliRoundTrip.FIT_FLAGS
+    flags = load(ROOT / "perfbench" / "workloads.py").CliRoundTrip.FIT_FLAGS
     out = str(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         for stem, stream, n in (("train", 0, 30), ("query", 1, 12)):

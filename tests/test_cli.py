@@ -407,6 +407,9 @@ def test_predict_rejects_incomplete_model(tmp_path):
     # json writes an int too large for a float as its 401 digits
     pytest.param("h_m", 10**400, id="h_m-int_too_large_for_a_float"),
     pytest.param("h_v", 10**400, id="h_v-int_too_large_for_a_float"),
+    ("curves_file", None),
+    ("curves_file", ["curves.csv"]),
+    ("responses_sha256", None),
 ])
 def test_predict_rejects_a_malformed_model(tmp_path, field, value):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)
@@ -547,6 +550,18 @@ def test_chemo_train_size_too_large_exits_4(tmp_path):
                "--deriv-method", "finite_diff") == 4
 
 
+def test_a_repeated_stage_exits_4(tmp_path, capsys):
+    curves_f, resp_f = simulate_small(tmp_path, n=10, seed=22)
+    assert run("--output-dir", tmp_path, "chemo", "--curves", curves_f,
+               "--responses", resp_f, "--train-size", 6, "--mean-order", 0,
+               "--orders", "0,0,1", "--deriv-method", "finite_diff") == 4
+    assert "duplicate stage: residual on SemiMetricSpec(" in capsys.readouterr().err
+    assert run("--seed", 1, "--output-dir", tmp_path, "bench", "--example", "ex1",
+               "--n", 12, "--reps", 1, "--methods", "direct,residual,direct") == 4
+    assert "duplicate stage: direct on SemiMetricSpec(" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 def test_inputs_are_never_modified(tmp_path):
     curves_f, resp_f = simulate_small(tmp_path, n=12, seed=23)
     before = (open(curves_f, "rb").read(), open(resp_f, "rb").read())
@@ -556,41 +571,58 @@ def test_inputs_are_never_modified(tmp_path):
     assert before == after
 
 
-def blas_thread_outputs(tmp_path, *fit_flags):
-    """model.json and predictions.csv of fit and predict at 1 and 2 BLAS threads."""
+# each BLAS-thread process runs these argument lists through cli.main in turn
+RUN_ARGVS = ("import json, sys; from funvar.cli import main; "
+             "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))")
+
+
+@pytest.fixture(scope="module")
+def blas_thread_outputs(tmp_path_factory):
+    """model.json and predictions.csv of a PCA and a B-spline fit and
+    predict, at 1 and at 2 BLAS threads, one process per thread count."""
+    tmp_path = tmp_path_factory.mktemp("blas")
     for stem, n, stream in (("train", 700, 0), ("query", 1500, 1)):
         assert run("--seed", 21, "--output-dir", tmp_path, "simulate", "--example", "ex2",
                    "--n", n, "--stream", stream, "--stem", stem) == 0
+    fit_flags = {
+        "pca": ("--semimetric", "pca_projection", "--dim", 3),
+        # the spline map P comes from a LAPACK SVD and its products from einsum
+        "bspline": ("--deriv-method", "bspline", "--order", 1, "--v-order", 0),
+    }
     src = str(Path(funvar.__file__).resolve().parent.parent)
-    outputs = []
+    outputs = {name: [] for name in fit_flags}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = tmp_path / f"threads{threads}"
-        for argv in (
-            ["fit", "--curves", tmp_path / "train_curves.csv",
-             "--responses", tmp_path / "train_responses.csv", *fit_flags,
-             "--method", "direct"],
-            ["predict", "--model", out / "model.json", "--curves", tmp_path / "query_curves.csv"],
-        ):
-            subprocess.run([sys.executable, "-m", "funvar.cli", "--output-dir", str(out),
-                            *map(str, argv)], env=env, check=True, capture_output=True)
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert sorted(outputs[0]) == ["model.json", "predictions.csv"]
+        argvs = []
+        for name, flags in fit_flags.items():
+            out = tmp_path / f"threads{threads}" / name
+            argvs += [
+                ["--output-dir", out, "fit", "--curves", tmp_path / "train_curves.csv",
+                 "--responses", tmp_path / "train_responses.csv", *flags,
+                 "--method", "direct"],
+                ["--output-dir", out, "predict", "--model", out / "model.json",
+                 "--curves", tmp_path / "query_curves.csv"],
+            ]
+        subprocess.run([sys.executable, "-c", RUN_ARGVS,
+                        json.dumps([[str(a) for a in argv] for argv in argvs])],
+                       env=env, check=True, capture_output=True)
+        for name in fit_flags:
+            out = tmp_path / f"threads{threads}" / name
+            outputs[name].append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert sorted(outputs[name][-1]) == ["model.json", "predictions.csv"]
     return outputs
 
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
-def test_pca_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
-    one, two = blas_thread_outputs(tmp_path, "--semimetric", "pca_projection", "--dim", 3)
+def test_pca_fit_and_predict_do_not_depend_on_the_blas_thread_count(blas_thread_outputs):
+    one, two = blas_thread_outputs["pca"]
     assert one == two
 
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
-def test_bspline_fit_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the spline map P comes from a LAPACK SVD and its products from einsum
-    one, two = blas_thread_outputs(tmp_path, "--deriv-method", "bspline", "--order", 1,
-                                   "--v-order", 0)
+def test_bspline_fit_and_predict_do_not_depend_on_the_blas_thread_count(blas_thread_outputs):
+    one, two = blas_thread_outputs["bspline"]
     assert one == two
 
 

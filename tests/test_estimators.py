@@ -514,6 +514,13 @@ def test_cv_rejects_unknown_kernel_and_misshapen_distances():
     for bad in (d[:3], d[:, :3], np.vstack([d, d[:1]])):
         with pytest.raises(ValueError, match="self-distance matrix"):
             TrainedMetric(SPEC0, cs, bad)
+    # a negative distance counts as a neighbor in the binned CV sums but gets
+    # zero kernel weight in the fit, so CV would score an estimator never fitted
+    for i, bad in enumerate((-1.0, np.nan, np.inf)):
+        given = d.copy()
+        given[i, i + 1] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TrainedMetric(SPEC0, cs, given)
 
 
 def test_cv_validation():
