@@ -71,8 +71,6 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(tuple(s) for s in self.stages))
         given = [h for h in (self.h_m, *(h for _, _, h in self.stages)) if h is not None]
-        if not all(isinstance(h, (int, float)) and not isinstance(h, bool) for h in given):
-            raise ValueError(f"bandwidths must be numbers, got {given!r}")
         _check_smoother(self.kernel, self.policy, *given)
         _check_variance(self.self_inclusion, *(m for m, _, _ in self.stages))
         if self.grid_size < 1:
@@ -87,10 +85,11 @@ class PipelineConfig:
     def to_config(self) -> dict:
         """The ``model.json`` fields of a one-stage pipeline, else ValueError."""
         ((method, spec_v, h_v),) = self.stages  # ValueError unless one stage
+        h_m, h_v = (None if h is None else float(h) for h in (self.h_m, h_v))  # JSON numbers
         return {"semimetric": self.spec.to_config(),
                 "variance_semimetric": spec_v.to_config(), "kernel": self.kernel,
                 "policy": self.policy, "self_inclusion": self.self_inclusion,
-                "variance_method": method, "h_m": self.h_m, "h_v": h_v}
+                "variance_method": method, "h_m": h_m, "h_v": h_v}
 
     @classmethod
     def from_config(cls, cfg: dict) -> PipelineConfig:

@@ -135,6 +135,14 @@ def _add_semimetric_flags(p: argparse.ArgumentParser) -> None:
                    help="number of components for the pca_projection semi-metric")
 
 
+def _add_smoother_flags(p: argparse.ArgumentParser, self_inclusion: bool = True) -> None:
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
+    p.add_argument("--grid-size", type=int, default=20,
+                   help="number of cross-validation bandwidth candidates")
+    if self_inclusion:
+        p.add_argument("--self-inclusion", choices=SELF_INCLUSION_MODES, default="include_self")
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="funvar",
@@ -142,8 +150,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed; required for simulate and bench")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="harness parallelism (env FUNVAR_THREADS also works)")
+    # argparse parses a string default with the option's type
+    parser.add_argument("--threads", type=int, default=os.environ.get("FUNVAR_THREADS", "1"),
+                        help="harness parallelism (default: env FUNVAR_THREADS, else 1)")
     parser.add_argument("--output-dir", default=".",
                         help="directory for all output files")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -165,18 +174,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_semimetric_flags(p)
     p.add_argument("--v-order", type=int, default=None,
                    help="variance-stage derivative order (default: --order)")
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
+    _add_smoother_flags(p)
     p.add_argument("--policy", choices=WEIGHT_POLICIES, default=POLICY_FALLBACK)
-    p.add_argument("--self-inclusion", choices=SELF_INCLUSION_MODES,
-                   default="include_self")
     p.add_argument("--method", choices=VARIANCE_METHODS, default="residual",
                    help="variance estimation method")
     p.add_argument("--h-m", type=float, default=None,
                    help="mean bandwidth (default: cross-validated)")
     p.add_argument("--h-v", type=float, default=None,
                    help="variance bandwidth (default: cross-validated)")
-    p.add_argument("--grid-size", type=int, default=20,
-                   help="number of cross-validation bandwidth candidates")
     p.add_argument("--model-out", default="model.json")
 
     p = sub.add_parser("predict", help="apply a fitted model to curves")
@@ -189,12 +194,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--reps", type=int, default=100)
     _add_semimetric_flags(p)
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
-    p.add_argument("--self-inclusion", choices=SELF_INCLUSION_MODES,
-                   default="include_self")
+    _add_smoother_flags(p)
     p.add_argument("--methods", default=",".join(VARIANCE_METHODS),
                    help=f"comma-separated subset of {','.join(VARIANCE_METHODS)}")
-    p.add_argument("--grid-size", type=int, default=20)
     p.add_argument("--out", default="report.json")
 
     p = sub.add_parser("chemo", help="train/validation workflow on curve files")
@@ -207,8 +209,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--deriv-method", choices=DERIV_METHODS, default="bspline")
     p.add_argument("--knots", type=int, default=20)
     p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="quadratic")
-    p.add_argument("--grid-size", type=int, default=20)
+    _add_smoother_flags(p, self_inclusion=False)
     p.add_argument("--report-out", default="chemo_report.json")
     p.add_argument("--pairs-out", default="chemo_pairs.csv")
 
@@ -230,15 +231,6 @@ def parse_args(argv=None) -> argparse.Namespace:
             if getattr(args, flag, None) is not None:
                 parser.error(f"--{flag.replace('_', '-')} applies to the "
                              "deriv_l2 semi-metric only")
-    if args.threads is None:
-        env = os.environ.get("FUNVAR_THREADS")
-        if env is not None:
-            try:
-                args.threads = int(env)
-            except ValueError:
-                parser.error(f"FUNVAR_THREADS must be an integer, got {env!r}")
-        else:
-            args.threads = 1
     if args.threads < 1:
         parser.error("--threads must be positive")
     return args
@@ -262,6 +254,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    # hashed before they are read: a file replaced in between fails predict's check
+    digests = {k: _sha256(getattr(args, k)) for k in ("curves", "responses")}
     train = _read_curves(args.curves)
     y = _read_responses(args.responses)
     spec_v = _semimetric_from_args(args, order=args.v_order)
@@ -275,9 +269,9 @@ def _cmd_fit(args) -> int:
     model = {
         # absolute paths, so that predict finds the training files from any directory
         "curves_file": os.path.abspath(args.curves),
-        "curves_sha256": _sha256(args.curves),
+        "curves_sha256": digests["curves"],
         "responses_file": os.path.abspath(args.responses),
-        "responses_sha256": _sha256(args.responses),
+        "responses_sha256": digests["responses"],
         **cfg.to_config(),
         # the chosen bandwidths, so that predict refits without cross-validation
         "h_m": fit.mean.bandwidth,
@@ -312,18 +306,17 @@ def _load_model(path: str) -> tuple[dict, PipelineConfig]:
 
 def _cmd_predict(args) -> int:
     model, cfg = _load_model(args.model)
+    train = _read_curves(model["curves_file"])
+    y = _read_responses(model["responses_file"])
+    # hashed after they are read: a file replaced before the read fails the check
     for kind in ("curves", "responses"):
         path = model[f"{kind}_file"]
-        if not os.path.exists(path):
-            raise CliIoError(f"training {kind} file {path} not found")
         got = _sha256(path)
         if got != model[f"{kind}_sha256"]:
             raise CliIoError(
                 f"training {kind} file {path} changed since the model was fit "
                 f"(sha256 {got} != {model[f'{kind}_sha256']})"
             )
-    train = _read_curves(model["curves_file"])
-    y = _read_responses(model["responses_file"])
     # the query curves, a chunk at a time: each chunk is parsed, predicted and
     # written before the next is read, so memory does not grow with the queries
     with closing(_curve_chunks(args.curves, chunk_rows(len(train)))) as chunks:

@@ -9,6 +9,7 @@ cross-validation over a quantile-based candidate grid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -45,9 +46,9 @@ class TrainedMetric:
 
     An untrained projection spec is trained on ``train`` when the spec or
     the features are first needed, so given distances never train it. The
-    features, the self-distance matrix, each default bandwidth grid and the
-    :class:`PairBins` of each (kernel, candidate grid) are computed once, on
-    first use; ``dist`` may supply the n x n self-distance matrix instead.
+    features, the self-distance matrix and each default bandwidth grid are
+    computed once, on first use, and only the last requested :class:`PairBins`
+    kept; ``dist`` may supply the n x n self-distance matrix instead.
     """
 
     # plain lazy attributes rather than functools.cached_property, whose
@@ -66,7 +67,7 @@ class TrainedMetric:
         self._features = None
         self._dist = dist
         self._grids: dict[int, np.ndarray] = {}
-        self._bins: dict[tuple, PairBins] = {}
+        self._bins: tuple = (None, None)  # (kernel, grid bytes), PairBins
 
     @classmethod
     def of(cls, spec: SemiMetricSpec | TrainedMetric, train: CurveSet,
@@ -122,9 +123,10 @@ class TrainedMetric:
     def pair_bins(self, kernel: str, hs: np.ndarray) -> PairBins:
         """:class:`PairBins` of the self-distances over the sorted ``hs``."""
         key = (kernel, hs.tobytes())
-        if key not in self._bins:
-            self._bins[key] = PairBins(self.dist, hs, kernel)
-        return self._bins[key]
+        if self._bins[0] != key:
+            self._bins = (None, None)  # free the last binning before the next
+            self._bins = (key, PairBins(self.dist, hs, kernel))
+        return self._bins[1]
 
     def cross(self, xs: CurveSet) -> np.ndarray:
         """Distances from each curve of ``xs`` (rows) to each training curve."""
@@ -144,16 +146,17 @@ class TrainedMetric:
 
 
 def _check_smoother(kernel: str, policy: str, *bandwidths: float) -> None:
-    """Refuse a fit's kernel, policy or bandwidths before it is frozen."""
+    """Refuse a fit's kernel, policy or bandwidths (real, not bool) before it is frozen."""
     kernel_power(kernel)
     if policy not in WEIGHT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     try:
-        finite = all(0 < h and float(h) < np.inf for h in bandwidths)
+        finite = all(isinstance(h, numbers.Real) and not isinstance(h, bool)
+                     and 0 < h and float(h) < np.inf for h in bandwidths)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise ValueError("bandwidth must be positive and finite")
+        raise ValueError("bandwidth must be a positive and finite number")
 
 
 def _check_variance(self_inclusion: str, *methods: str) -> None:

@@ -101,7 +101,7 @@ class SemiMetricSpec:
         kind = cfg.get("kind") if isinstance(cfg, dict) else None
         # each kind's integer fields, with their defaults (dim has none)
         sizes = {"deriv_l2": {"order": 0, "knots": 20, "degree": 3},
-                 "pca_projection": {"dim": None}}.get(kind)
+                 "pca_projection": {"dim": None}}.get(kind) if isinstance(kind, str) else None
         if sizes is None or not all(type(cfg.get(k, v)) is int for k, v in sizes.items()):
             raise ValueError(f"malformed semi-metric config {cfg!r}")
         if cfg["kind"] == "deriv_l2":

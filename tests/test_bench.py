@@ -81,6 +81,12 @@ def test_config_validation():
         ChemoConfig("c.csv", "r.csv", kernel="gauss")
     with pytest.raises(ValueError):  # a degree-2 spline has no order-2 derivative
         ChemoConfig("c.csv", "r.csv", mean_order=2, degree=2)
+    with pytest.raises(ValueError, match="train_size must be at least 2"):
+        ChemoConfig("c.csv", "r.csv", train_size=1)
+    with pytest.raises(ValueError, match="at least one candidate order"):
+        ChemoConfig("c.csv", "r.csv", candidate_orders=())
+    with pytest.raises(ValueError, match="rep_index must be nonnegative"):
+        run_replication(ExperimentConfig("ex1", n=10, n_reps=1), -1)
 
 
 @pytest.mark.parametrize("bad", [
@@ -104,6 +110,31 @@ def test_config_validation():
 def test_pipeline_config_refuses_a_bad_field_when_built(bad):
     with pytest.raises(ValueError):
         PipelineConfig(SemiMetricSpec.deriv_l2(), **bad)
+
+
+@pytest.mark.parametrize("h", [True, "2"])
+def test_every_fit_and_pipeline_refuses_a_bandwidth_that_is_no_real_number(h):
+    cs, y = bump_curves(8, 0), np.arange(8.0)
+    spec = SemiMetricSpec.deriv_l2()
+    mean = fit_mean(cs, y, spec, bandwidth=1.0)
+    for build in (lambda: fit_mean(cs, y, spec, bandwidth=h),
+                  lambda: fit_variance("residual", mean, spec, bandwidth=h),
+                  lambda: PipelineConfig(spec, h_m=h),
+                  lambda: PipelineConfig(spec, stages=[("direct", spec, h)])):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build()
+
+
+def test_every_fit_and_pipeline_accepts_a_numpy_integer_bandwidth():
+    cs, y = bump_curves(8, 0), np.arange(8.0)
+    spec, h = SemiMetricSpec.deriv_l2(), np.int64(2)
+    mean = fit_mean(cs, y, spec, bandwidth=h)
+    assert mean.bandwidth == 2.0
+    assert fit_variance("residual", mean, spec, bandwidth=h).bandwidth == 2.0
+    cfg = PipelineConfig(spec, h_m=h, stages=[("direct", spec, h)])
+    assert bench.fit_pipeline(cs, y, cfg).variances[0].bandwidth == 2.0
+    model = json.loads(bench.canonical_json(cfg.to_config()))
+    assert (model["h_m"], model["h_v"]) == (2.0, 2.0)
 
 
 def test_pipeline_config_refuses_only_identical_stages():

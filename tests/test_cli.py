@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,8 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_threads_env_var(monkeypatch):
+    monkeypatch.delenv("FUNVAR_THREADS", raising=False)
+    assert parse_args(["--seed", "1", "bench", "--example", "ex1"]).threads == 1
     monkeypatch.setenv("FUNVAR_THREADS", "3")
     args = parse_args(["--seed", "1", "bench", "--example", "ex1"])
     assert args.threads == 3
@@ -107,6 +110,8 @@ def test_threads_env_var(monkeypatch):
     args = parse_args(["--seed", "1", "--threads", "2", "bench", "--example", "ex1"])
     assert args.threads == 2
     monkeypatch.setenv("FUNVAR_THREADS", "many")
+    assert main(["--seed", "1", "bench", "--example", "ex1"]) == 2
+    monkeypatch.setenv("FUNVAR_THREADS", "0")
     assert main(["--seed", "1", "bench", "--example", "ex1"]) == 2
 
 
@@ -374,6 +379,53 @@ def test_predict_rejects_tampered_training_data(tmp_path):
                tmp_path / "model.json", "--curves", curves_f) == 3
 
 
+def test_predict_fits_the_training_data_whose_digest_it_checked(tmp_path, monkeypatch):
+    curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)
+    other_f, _ = simulate_small(tmp_path, sub="other", example="ex1", n=12, seed=5)
+    queries = tmp_path / "queries.csv"
+    shutil.copyfile(curves_f, queries)
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f, "--grid-size", 6) == 0
+
+    def predict(sub):
+        return run("--output-dir", tmp_path / sub, "predict", "--model",
+                   tmp_path / "model.json", "--curves", queries)
+
+    assert predict("untouched") == 0
+    real = cli._sha256
+
+    def hash_then_replace(path):
+        digest = real(path)
+        if os.path.abspath(path) == os.path.abspath(curves_f):
+            shutil.copyfile(other_f, curves_f)  # the curves change once hashed
+        return digest
+
+    monkeypatch.setattr(cli, "_sha256", hash_then_replace)
+    code = predict("raced")
+    assert code == 3 or ((tmp_path / "raced" / "predictions.csv").read_bytes()
+                         == (tmp_path / "untouched" / "predictions.csv").read_bytes())
+
+
+def test_a_training_file_replaced_during_the_fit_fails_predict(tmp_path, monkeypatch,
+                                                              capsys):
+    curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)
+    other_f, _ = simulate_small(tmp_path, sub="other", example="ex1", n=12, seed=5)
+    real = cli.fit_pipeline
+
+    def replace_then_fit(*args, **kwargs):
+        shutil.copyfile(other_f, curves_f)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_pipeline", replace_then_fit)
+    assert run("--output-dir", tmp_path, "fit", "--curves", curves_f,
+               "--responses", resp_f, "--grid-size", 6) == 0
+    monkeypatch.setattr(cli, "fit_pipeline", real)
+    capsys.readouterr()
+    assert run("--output-dir", tmp_path, "predict", "--model", tmp_path / "model.json",
+               "--curves", other_f) == 3
+    assert "changed since the model was fit" in capsys.readouterr().err
+
+
 def test_predict_rejects_incomplete_model(tmp_path):
     bad = tmp_path / "model.json"
     curves_f, _ = simulate_small(tmp_path, n=6, seed=1)
@@ -410,6 +462,11 @@ def test_predict_rejects_incomplete_model(tmp_path):
     ("curves_file", None),
     ("curves_file", ["curves.csv"]),
     ("responses_sha256", None),
+    # a kind of another JSON type than a string
+    pytest.param("semimetric", {"kind": ["x"]}, id="semimetric-kind_list"),
+    pytest.param("semimetric", {"kind": {}}, id="semimetric-kind_object"),
+    pytest.param("variance_semimetric", {"kind": ["x"]}, id="variance_semimetric-kind_list"),
+    pytest.param("variance_semimetric", {"kind": {}}, id="variance_semimetric-kind_object"),
 ])
 def test_predict_rejects_a_malformed_model(tmp_path, field, value):
     curves_f, resp_f = simulate_small(tmp_path, example="ex1", n=12, seed=4)
@@ -548,6 +605,19 @@ def test_chemo_train_size_too_large_exits_4(tmp_path):
                "--responses", resp_f, "--train-size", 10,
                "--mean-order", 0, "--orders", "0",
                "--deriv-method", "finite_diff") == 4
+
+
+def test_chemo_exits_4_when_every_validation_mean_falls_back(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((15, 31))
+    values[10:] += 1000.0  # validation curves far from every training curve
+    curves_f, resp_f = tmp_path / "curves.csv", tmp_path / "responses.csv"
+    write_curves_csv(curves_f, CurveSet(uniform_grid(31), values))
+    write_responses_csv(resp_f, rng.standard_normal(15))
+    assert run("--output-dir", tmp_path / "out", "chemo", "--curves", curves_f,
+               "--responses", resp_f, "--train-size", 10, "--mean-order", 0,
+               "--orders", "0", "--deriv-method", "finite_diff", "--grid-size", 6) == 4
+    assert "every validation mean prediction fell back" in capsys.readouterr().err
 
 
 def test_a_repeated_stage_exits_4(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Binned pair sums shared by cross-validation, one metric per trained
 basis, in-place kernel weights, and the grid read from each pair once."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -123,6 +124,23 @@ def test_pipeline_bins_each_metric_once(monkeypatch):
     assert calls["PairBins"] == 2
     assert cv.bandwidth == fit.cv_m.bandwidth
     assert_array_equal(cv.scores, fit.cv_m.scores)
+
+
+def test_a_metric_keeps_only_its_last_binning():
+    cs, y = random_set(300, 8)
+    metric = TrainedMetric(SPEC0, cs)
+    grids = [metric.grid(20) * (1 + k / 100) for k in range(30)]
+    tracemalloc.start()
+    try:
+        metric.pair_bins("quadratic", grids[0])
+        one = tracemalloc.get_traced_memory()[0]
+        for hs in grids[1:]:  # each grid binned anew
+            cv_bandwidth(cs, y, metric, "quadratic", hs)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * one
+    assert metric.pair_bins("quadratic", grids[-1]) is metric.pair_bins("quadratic", grids[-1])
 
 
 def test_stages_that_share_a_spec_share_its_metric(monkeypatch):
