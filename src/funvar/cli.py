@@ -67,6 +67,15 @@ class CliIoError(RuntimeError):
     """A file could not be read, parsed, or written."""
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated flag value; empty entries are skipped."""
+    try:
+        return tuple(int(o) for o in text.split(",") if o != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _write_text(path: str, text: str) -> None:
     with _atomic_write(path) as f:
         f.write(text)
@@ -204,7 +213,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--responses", required=True)
     p.add_argument("--train-size", type=int, default=150)
     p.add_argument("--mean-order", type=int, default=2)
-    p.add_argument("--orders", default="0,1,2",
+    p.add_argument("--orders", type=_int_list, default="0,1,2",
                    help="comma-separated candidate variance-stage orders")
     p.add_argument("--deriv-method", choices=DERIV_METHODS, default="bspline")
     p.add_argument("--knots", type=int, default=20)
@@ -366,7 +375,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_chemo(args) -> int:
-    orders = tuple(int(o) for o in args.orders.split(",") if o != "")
+    orders = args.orders
     # classify unreadable/unparsable inputs as I/O failures up front; any
     # ValueError out of the workflow itself is then a computation error
     curves = _read_curves(args.curves)

@@ -9,6 +9,7 @@ cross-validation over a quantile-based candidate grid.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -549,16 +550,112 @@ def default_bandwidth_grid(dist: np.ndarray, size: int = 20) -> np.ndarray:
     """Candidate bandwidths at quantiles of the positive pairwise distances.
 
     See :func:`quantile_grid`; the distances are read once per pair, from
-    the upper triangle of the self-distance matrix, into one sorted copy.
+    the upper triangle of the self-distance matrix. Pairs that fit in one
+    triangle block (n <= 511) are copied and sorted; a larger matrix is
+    read in place (:func:`_select_in_place`), so that the grid makes no
+    O(n^2) array.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("expected a square self-distance matrix")
+    blocks = _blocks.triangle_blocks(len(d))
+    if len(blocks) > 1:
+        return _select_in_place(d, blocks, size)
     pairs = squareform(d, checks=False)
     pairs.sort()  # NaNs last, as np.sort puts them
     positive = pairs[np.searchsorted(pairs, 0.0, side="right"):
                      np.searchsorted(pairs, np.nan)]
     return _quantiles(positive, size)
+
+
+# cells of the histogram of the pairs, and pairs that a block reads at a
+# time: its temporaries take 9 bytes a pair
+GRID_CELLS = 1 << 12
+GRID_PIECE = 1 << 15
+
+
+def _select_in_place(d: np.ndarray, blocks: list[tuple[int, int]], size: int) -> np.ndarray:
+    """The grid of :func:`default_bandwidth_grid`, selected without copying
+    the pairs (i, j > i): two passes over the triangle ``blocks`` on the
+    shared pool.
+
+    Each pair goes to cell min(floor(d * scale), GRID_CELLS), NaN and the
+    non-positive to cell 0. The first pass counts the positive pairs and
+    the pairs per cell; the second gathers the pairs of the cells that hold
+    a rank of the grid, and the grid is picked from those. As the map is
+    monotone, any scale > 0 gives the same grid; this one spreads a sample
+    of the distances over the cells, so that few pairs are gathered.
+    """
+    n = len(d)
+    step = max(1, n // 64)
+    sample = d[::step, ::step]
+    top = sample[(sample > 0) & (sample < np.inf)].max(initial=0.0)
+    scale = GRID_CELLS / top if top > GRID_CELLS * np.finfo(float).tiny else 1.0
+    cap = GRID_CELLS / scale  # d * scale stays finite below it
+    # the pairs j <= i of a piece's leading square, which has at most
+    # isqrt(GRID_PIECE) rows
+    lower = np.tri(math.isqrt(GRID_PIECE), dtype=bool)
+    width = max(GRID_PIECE, n)
+
+    def pieces(lo, hi):
+        """Each piece of rows a:b of lo:hi: the view d[a:b, a:], its cells
+        (the pairs j <= i in cell 0) and the mask of those pairs in its
+        leading columns a:b."""
+        flat = _blocks.scratch("grid_cells", (width,), float)
+        a = lo
+        while a < hi:
+            b = min(hi, a + max(1, GRID_PIECE // (n - a)))
+            rows = d[a:b, a:]
+            t = flat[:rows.size]
+            np.minimum(rows, cap, out=t.reshape(rows.shape))
+            t *= scale
+            np.fmax(t, 0, out=t)  # NaN and the non-positive to 0
+            cells = t.view(np.intp)
+            np.copyto(cells, t, casting="unsafe")  # in place: 1-D, same item size
+            square = lower[:b - a, :b - a]
+            np.copyto(cells.reshape(rows.shape)[:, :b - a], 0, where=square)
+            yield rows, cells, square
+            a = b
+
+    counted = []  # per block, in any order: its positive pairs and pairs per cell
+
+    def count(lo, hi):
+        flags = _blocks.scratch("grid_flags", (width,), bool)
+        positive, hist = 0, np.zeros(GRID_CELLS + 1, np.intp)
+        for rows, cells, square in pieces(lo, hi):
+            pos = np.greater(rows, 0, out=flags[:rows.size].reshape(rows.shape))
+            np.copyto(pos[:, :len(square)], False, where=square)
+            positive += np.count_nonzero(pos)
+            hist += np.bincount(cells, minlength=GRID_CELLS + 1)
+        counted.append((positive, hist))
+
+    _blocks.run(count, blocks, n * n)
+    total = sum(positive for positive, _ in counted)
+    hist = sum(h for _, h in counted)
+    hist[0] = total - hist[1:].sum()  # the positives of cell 0, below 1 / scale
+    at = _ranks(total, size)
+    ends = np.cumsum(hist)
+    cell = np.searchsorted(ends, at, side="right")
+    want = np.zeros(GRID_CELLS + 1, bool)
+    want[cell] = True
+    gathered = []  # in any order: the grid is picked by rank
+
+    def gather(lo, hi):
+        flags = _blocks.scratch("grid_flags", (width,), bool)
+        for rows, cells, square in pieces(lo, hi):
+            # mode "clip": the default mode would buffer ``out``
+            hit = np.take(want, cells, out=flags[:rows.size], mode="clip").reshape(rows.shape)
+            np.copyto(hit[:, :len(square)], False, where=square)
+            gathered.append(rows[hit])
+
+    _blocks.run(gather, blocks, n * n)
+    picked = np.concatenate(gathered)
+    if want[0]:
+        picked = picked[picked > 0]
+    # a rank less the positives of the cells below it that were not gathered
+    at -= (ends - np.cumsum(np.where(want, hist, 0)))[cell]
+    picked.partition(np.unique(at))
+    return np.unique(picked[at])
 
 
 def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
@@ -574,13 +671,18 @@ def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
 
 
 def _quantiles(positive: np.ndarray, size: int) -> np.ndarray:
-    """The grid of :func:`quantile_grid` from the sorted positive distances:
-    the inverted-CDF quantile at level q is the element at n q - 1 rounded
-    up (and at least 0), as np.quantile(..., method="inverted_cdf") picks it."""
+    """The grid of :func:`quantile_grid` from the sorted positive distances."""
+    return np.unique(positive[_ranks(positive.size, size)])
+
+
+def _ranks(count: int, size: int) -> np.ndarray:
+    """The ranks among ``count`` sorted positive distances that a grid of
+    ``size`` takes: the inverted-CDF quantile at level q is the element at
+    count q - 1 rounded up (and at least 0), as
+    np.quantile(..., method="inverted_cdf") picks it."""
     if size < 1:
         raise ValueError("grid size must be positive")
-    if positive.size == 0:
+    if count == 0:
         raise ValueError("no positive distance to build a grid from")
     qs = np.array([1.0]) if size == 1 else np.linspace(0.05, 1.0, size)
-    at = np.maximum(np.ceil(positive.size * qs - 1), 0).astype(np.intp)
-    return np.unique(positive[at])
+    return np.maximum(np.ceil(count * qs - 1), 0).astype(np.intp)

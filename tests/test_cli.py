@@ -599,6 +599,20 @@ def test_chemo_unparsable_input_exits_3(tmp_path):
                "--orders", "0", "--deriv-method", "finite_diff") == 3
 
 
+def test_chemo_malformed_orders_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypatch):
+    curves_f, resp_f = simulate_small(tmp_path, n=10, seed=22)
+    reads = []
+    monkeypatch.setattr(cli, "_read_curves", lambda path: reads.append(path))
+    for orders in ("0,x", "1.5", "0;1"):
+        assert run("--output-dir", tmp_path, "chemo", "--curves", curves_f,
+                   "--responses", resp_f, "--orders", orders) == 2
+        assert "argument --orders: expected comma-separated integers" in capsys.readouterr().err
+    assert reads == []
+    assert parse_args(["chemo", "--curves", "c", "--responses", "r",
+                       "--orders", "0,,1"]).orders == (0, 1)
+    assert parse_args(["chemo", "--curves", "c", "--responses", "r"]).orders == (0, 1, 2)
+
+
 def test_chemo_train_size_too_large_exits_4(tmp_path):
     curves_f, resp_f = simulate_small(tmp_path, n=10, seed=22)
     assert run("--output-dir", tmp_path, "chemo", "--curves", curves_f,

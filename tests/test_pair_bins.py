@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import squareform
 
+import funvar._blocks as blocks
 import funvar.estimators as estimators
 from funvar.bench import ExperimentConfig, PipelineConfig, fit_pipeline, run_replication
 from funvar.curves import CurveSet, uniform_grid
@@ -278,9 +279,11 @@ def test_in_place_weights_are_bit_identical_to_the_reference(kernel, exclude_dia
         weight_matrix(tall, h, kernel, POLICY_ERROR, exclude_diag)
 
 
-def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():
+def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry(monkeypatch):
+    # from n = 512 the pairs take several triangle blocks, read in place on the pool
+    monkeypatch.setattr(blocks, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(12)
-    for n, size in ((7, 5), (30, 20), (41, 33)):
+    for n, size in ((7, 5), (30, 20), (41, 33), (600, 20)):
         # small integer curves: many tied distances
         cs = CurveSet(uniform_grid(3), rng.integers(0, 4, size=(n, 3)).astype(float))
         d = distance_matrix(SPEC0, cs)
@@ -291,8 +294,8 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():
         assert_array_equal(TrainedMetric(SPEC0, cs).grid(size), want)
     # matrices that no distance gives: zeros, -0.0 and negatives (left out),
     # ties, inf (kept) and NaN (left out), in and out of the upper triangle
-    for n, size in ((2, 1), (9, 4), (40, 20), (61, 300)):
-        for _ in range(5):
+    for n, size in ((2, 1), (9, 4), (40, 20), (61, 300), (600, 20), (700, 1), (1100, 300)):
+        for _ in range(5 if n < 600 else 2):
             d = rng.integers(-2, 5, size=(n, n)).astype(float)
             special = rng.random((n, n))
             d[special < 0.1] = np.nan
@@ -305,10 +308,46 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry():
                     default_bandwidth_grid(d, size)
                 continue
             assert_array_equal(default_bandwidth_grid(d, size), quantile_grid(upper, size))
-    d = np.zeros((4, 4))
-    d[0, 1] = d[2, 3] = np.nan
-    with pytest.raises(ValueError, match="no positive distance"):
-        default_bandwidth_grid(d, 3)
+    # a fifth of the pairs far below the rest, in the histogram's lowest cell
+    # with the zeros, -0.0, NaN and negatives; and a matrix with no positive pair
+    d = rng.integers(1, 5, size=(800, 800)).astype(float)
+    special = rng.random((800, 800))
+    d[special < 0.2] = 1e-9 * rng.integers(1, 4, size=(800, 800))[special < 0.2]
+    d[(0.2 < special) & (special < 0.3)] = 0.0
+    d[(0.3 < special) & (special < 0.35)] = -0.0
+    d[(0.35 < special) & (special < 0.4)] = np.nan
+    d[(0.4 < special) & (special < 0.45)] = -1.0
+    for size in (1, 20, 300):
+        assert_array_equal(default_bandwidth_grid(d, size),
+                           quantile_grid(squareform(d, checks=False), size))
+    for n in (4, 600):
+        d = np.zeros((n, n))
+        d[0, 1] = d[2, 3] = np.nan
+        d[1, 0] = d[3, 2] = 1.0  # below the diagonal: left out
+        with pytest.raises(ValueError, match="no positive distance"):
+            default_bandwidth_grid(d, 3)
+
+
+def test_the_grid_of_a_large_matrix_reads_its_pairs_in_place(monkeypatch):
+    cs, _ = random_set(1200, 14)
+    d = distance_matrix(SPEC0, cs)
+    want = quantile_grid(squareform(d, checks=False), 20)
+    # two blocks at a time, whatever the number of CPUs: each holds its own
+    # temporaries
+    monkeypatch.setattr(blocks, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(blocks, "_pool", None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid = default_bandwidth_grid(d, 20)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        if blocks._pool is not None:
+            blocks._pool.shutdown()
+    assert_array_equal(grid, want)
+    # a copy of the pairs alone would take d.nbytes / 2
+    assert peak < d.nbytes / 8
 
 
 def test_grid_picks_the_inverted_cdf_quantiles_of_numpy():

@@ -38,7 +38,11 @@ the minor page faults of every round trip; there
 ``other`` the CSV reading and writing. ``predict_peak_rss_mb`` is the
 peak resident memory (``ru_maxrss``, in 10^6 bytes) of one more
 ``funvar predict`` of the same model and queries, run alone in a fresh
-Python process.
+Python process. ``replication_peak_rss_mb`` is the same for one ex2
+replication at ``RSS_SIZE`` curves (seed 0, stream 0): the median over
+``COLD_STARTS`` fresh processes, each of which imports the package, draws
+the dataset and runs the replication, with every run in
+``replication_peak_rss_mb_all``.
 
 ``cold_start`` holds ``import funvar`` alone, in ``COLD_STARTS`` fresh
 Python processes: the median and every run of its wall time (measured
@@ -73,6 +77,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # fixed, so that any two BENCH files compare
 SIZES = (200, 800, 2000)
 EX3_SIZE = 200
+RSS_SIZE = 2000
 # a replication at EX3_SIZE takes about 5 ms: more of them, for a steadier best
 EX3_REPEATS = 49
 REPEATS = 7
@@ -220,6 +225,11 @@ COLD_FIT = "import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_co
            "from funvar.cli import main; rc = main(sys.argv[2:]); " \
            "print(time.perf_counter() - t0, 'scipy.interpolate' in sys.modules); sys.exit(rc)"
 COLD_STARTS = 5
+REPLICATION = "import sys; sys.path.insert(0, sys.argv[1]); " \
+              "from funvar.bench import ExperimentConfig, run_replication; " \
+              "from funvar.simulate import SimSpec, gen_dataset; n = int(sys.argv[2]); " \
+              "run_replication(ExperimentConfig('ex2', n=n, n_reps=1), 0, " \
+              "dataset=gen_dataset(SimSpec('ex2', n, 0, 0)))"
 
 
 def fresh_process(*argv) -> tuple[str, float]:
@@ -235,6 +245,15 @@ def predict_peak_rss_mb(src: Path, *argv) -> float:
     """Peak resident memory of ``funvar`` with ``argv`` (imported from
     ``src``) in a fresh process, in MB."""
     return fresh_process("-c", CLI_MAIN, str(src.resolve()), *argv)[1]
+
+
+def replication_peaks(src: Path) -> list:
+    """Peak resident memory, in MB, of one ex2 replication at ``RSS_SIZE``
+    curves (imported from ``src``) in each of ``COLD_STARTS`` fresh processes."""
+    peaks = [fresh_process("-c", REPLICATION, str(src.resolve()), str(RSS_SIZE))[1]
+             for _ in range(COLD_STARTS)]
+    print(f"ex2 n={RSS_SIZE} replication peak RSS: median {statistics.median(peaks):.1f} MB")
+    return peaks
 
 
 def cold_runs(name: str, script: str, src: Path, *argv) -> tuple[list, list, bool]:
@@ -375,12 +394,15 @@ def main(argv=None) -> int:
         cli_run, cold = cli_round_trip(cli, clock, missing, args.src)
     finally:
         clock.uninstall()
+    rss = replication_peaks(args.src)
     out = {"label": args.label, "machine": machine(),
            "source_sha256": source_digest(args.src),
            "config": {"design": "ex2", "seed": 0, "stream": 0, "kernel": "quadratic",
                       "grid_size": 20, "methods": ["residual", "direct"],
                       "repeats": REPEATS},
-           "runs": runs, "ex3_run": ex3_run, "cli_round_trip": cli_run, "cold_start": cold}
+           "runs": runs, "ex3_run": ex3_run, "cli_round_trip": cli_run, "cold_start": cold,
+           "replication_peak_rss_mb": statistics.median(rss),
+           "replication_peak_rss_mb_all": rss}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
