@@ -1,22 +1,22 @@
 """Row blocks of the O(n^2) passes, run on one pool of threads.
 
-Every pass over a matrix of pairs (the distances, the kernel smooths, the
-quantile grid and the binned sums of the bandwidth search) is cut here
-into row blocks of about ``BLOCK_CELLS`` entries, each writing its own
-slice of one preallocated output. The blocks call only numpy and scipy, and most of their large
-calls (ufuncs, sorts, take, cdist) release the GIL, so on several CPUs the
-blocks run at once on a pool made on first use, one thread per usable CPU.
-``np.bincount`` holds the GIL for much of each call: over 2^24 keys,
-another thread stalled for about 25 ms of a 60 ms call, against under
-1 ms during an ``np.multiply``. So the bincounts of the binned CV sums and
-of the bandwidth grid's histogram run mostly one at a time, whatever the
-size of the pool. A pass of fewer than ``MIN_CELLS`` entries, or
-any pass on a single CPU, runs inline. Block boundaries depend only on
-the shape of the pass, never on the number of threads. Rows that need
-not be in memory at once (the query curves of ``funvar predict``) go
-through in chunks of :func:`chunk_rows` rows, one pass per chunk.
-Small passes run inline take their temporaries from :func:`scratch`, which
-the calling thread keeps from one pass to the next.
+Every pass over a matrix of pairs (the distances, the kernel smooths and the
+binned sums of the bandwidth search) is cut here into row blocks of about
+``BLOCK_CELLS`` entries, each writing its own slice of one preallocated
+output. The blocks call only numpy and scipy, and most of their large calls
+(ufuncs, sorts, take, cdist) release the GIL, so on several CPUs the blocks
+run at once on a pool made on first use, one thread per usable CPU.
+``np.bincount`` holds the GIL for much of each call: over 2^24 keys, another
+thread stalled for about 25 ms of a 60 ms call, against under 1 ms during an
+``np.multiply``. So the bincounts of the binned CV sums run mostly one at a
+time, whatever the size of the pool, and the bandwidth grid, mostly
+bincounts, reads its pairs inline. A pass of fewer than ``MIN_CELLS``
+entries, or any pass on a single CPU, runs inline. Block boundaries depend
+only on the shape of the pass, never on the number of threads. Rows that
+need not be in memory at once (the query curves of ``funvar predict``) go
+through in chunks of :func:`chunk_rows` rows, one pass per chunk. Small
+passes run inline take their temporaries from :func:`scratch`, which the
+calling thread keeps from one pass to the next.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ byte-identical at any thread count.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -73,8 +74,9 @@ class PipelineConfig:
         given = [h for h in (self.h_m, *(h for _, _, h in self.stages)) if h is not None]
         _check_smoother(self.kernel, self.policy, *given)
         _check_variance(self.self_inclusion, *(m for m, _, _ in self.stages))
-        if self.grid_size < 1:
-            raise ValueError("bandwidth grid size must be positive")
+        if (not isinstance(self.grid_size, numbers.Integral) or isinstance(self.grid_size, bool)
+                or self.grid_size < 1):
+            raise ValueError("bandwidth grid size must be a positive integer")
         # spec equality ignores a projection's basis, so the bases are compared too
         for i, (method, spec_v, h_v) in enumerate(self.stages):
             if any(s == (method, spec_v, h_v) and np.array_equal(

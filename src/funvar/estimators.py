@@ -9,7 +9,6 @@ cross-validation over a quantile-based candidate grid.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -552,32 +551,27 @@ def default_bandwidth_grid(dist: np.ndarray, size: int = 20) -> np.ndarray:
     See :func:`quantile_grid`; the distances are read once per pair, from
     the upper triangle of the self-distance matrix. Pairs that fit in one
     triangle block (n <= 511) are copied and sorted; a larger matrix is
-    read in place (:func:`_select_in_place`), so that the grid makes no
-    O(n^2) array.
+    read in place (:func:`_select_in_place`), a piece of rows at a time,
+    so that the grid makes no O(n^2) array.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("expected a square self-distance matrix")
-    blocks = _blocks.triangle_blocks(len(d))
-    if len(blocks) > 1:
-        return _select_in_place(d, blocks, size)
-    pairs = squareform(d, checks=False)
-    pairs.sort()  # NaNs last, as np.sort puts them
-    positive = pairs[np.searchsorted(pairs, 0.0, side="right"):
-                     np.searchsorted(pairs, np.nan)]
-    return _quantiles(positive, size)
+    if len(_blocks.triangle_blocks(len(d))) > 1:
+        return _select_in_place(d, size)
+    return _quantiles(squareform(d, checks=False), size)
 
 
-# cells of the histogram of the pairs, and pairs that a block reads at a
-# time: its temporaries take 9 bytes a pair
+# cells of the histogram of the pairs; pairs that a piece of rows reads at a time
 GRID_CELLS = 1 << 12
 GRID_PIECE = 1 << 15
 
 
-def _select_in_place(d: np.ndarray, blocks: list[tuple[int, int]], size: int) -> np.ndarray:
+def _select_in_place(d: np.ndarray, size: int) -> np.ndarray:
     """The grid of :func:`default_bandwidth_grid`, selected without copying
-    the pairs (i, j > i): two passes over the triangle ``blocks`` on the
-    shared pool.
+    the pairs (i, j > i): two passes over the rows in pieces a:b, each read
+    in two parts, the pairs among its rows (a copy of at most GRID_PIECE / 2)
+    and the view d[a:b, b:] of its pairs with every later row.
 
     Each pair goes to cell min(floor(d * scale), GRID_CELLS), NaN and the
     non-positive to cell 0. The first pass counts the positive pairs and
@@ -586,72 +580,39 @@ def _select_in_place(d: np.ndarray, blocks: list[tuple[int, int]], size: int) ->
     monotone, any scale > 0 gives the same grid; this one spreads a sample
     of the distances over the cells, so that few pairs are gathered.
     """
-    n = len(d)
-    step = max(1, n // 64)
+    step = max(1, len(d) // 64)
     sample = d[::step, ::step]
     top = sample[(sample > 0) & (sample < np.inf)].max(initial=0.0)
     scale = GRID_CELLS / top if top > GRID_CELLS * np.finfo(float).tiny else 1.0
     cap = GRID_CELLS / scale  # d * scale stays finite below it
-    # the pairs j <= i of a piece's leading square, which has at most
-    # isqrt(GRID_PIECE) rows
-    lower = np.tri(math.isqrt(GRID_PIECE), dtype=bool)
-    width = max(GRID_PIECE, n)
 
-    def pieces(lo, hi):
-        """Each piece of rows a:b of lo:hi: the view d[a:b, a:], its cells
-        (the pairs j <= i in cell 0) and the mask of those pairs in its
-        leading columns a:b."""
-        flat = _blocks.scratch("grid_cells", (width,), float)
-        a = lo
-        while a < hi:
-            b = min(hi, a + max(1, GRID_PIECE // (n - a)))
-            rows = d[a:b, a:]
-            t = flat[:rows.size]
-            np.minimum(rows, cap, out=t.reshape(rows.shape))
-            t *= scale
-            np.fmax(t, 0, out=t)  # NaN and the non-positive to 0
-            cells = t.view(np.intp)
-            np.copyto(cells, t, casting="unsafe")  # in place: 1-D, same item size
-            square = lower[:b - a, :b - a]
-            np.copyto(cells.reshape(rows.shape)[:, :b - a], 0, where=square)
-            yield rows, cells, square
+    def parts():
+        """Each part of the pairs with its flat cells, all in one buffer: cells
+        made anew for each piece left about 1 MB more peak RSS at n = 2000."""
+        n, a, flat = len(d), 0, np.empty(max(GRID_PIECE, len(d)))
+        while a < n:
+            b = min(n, a + max(1, GRID_PIECE // (n - a)))
+            for part in (squareform(d[a:b, a:b], checks=False), d[a:b, b:]):
+                t = flat[:part.size]
+                np.minimum(part, cap, out=t.reshape(part.shape))
+                t *= scale
+                np.fmax(t, 0, out=t)  # NaN and the non-positive to 0
+                np.copyto(t.view(np.intp), t, casting="unsafe")  # in place: 1-D, same item size
+                yield part, t.view(np.intp)
             a = b
 
-    counted = []  # per block, in any order: its positive pairs and pairs per cell
-
-    def count(lo, hi):
-        flags = _blocks.scratch("grid_flags", (width,), bool)
-        positive, hist = 0, np.zeros(GRID_CELLS + 1, np.intp)
-        for rows, cells, square in pieces(lo, hi):
-            pos = np.greater(rows, 0, out=flags[:rows.size].reshape(rows.shape))
-            np.copyto(pos[:, :len(square)], False, where=square)
-            positive += np.count_nonzero(pos)
-            hist += np.bincount(cells, minlength=GRID_CELLS + 1)
-        counted.append((positive, hist))
-
-    _blocks.run(count, blocks, n * n)
-    total = sum(positive for positive, _ in counted)
-    hist = sum(h for _, h in counted)
-    hist[0] = total - hist[1:].sum()  # the positives of cell 0, below 1 / scale
-    at = _ranks(total, size)
+    positive, hist = 0, np.zeros(GRID_CELLS + 1, np.intp)
+    for part, cells in parts():
+        positive += np.count_nonzero(part > 0)
+        hist += np.bincount(cells, minlength=GRID_CELLS + 1)
+    hist[0] = positive - hist[1:].sum()  # the positives of cell 0, below 1 / scale
+    at = _ranks(positive, size)
     ends = np.cumsum(hist)
     cell = np.searchsorted(ends, at, side="right")
     want = np.zeros(GRID_CELLS + 1, bool)
     want[cell] = True
-    gathered = []  # in any order: the grid is picked by rank
-
-    def gather(lo, hi):
-        flags = _blocks.scratch("grid_flags", (width,), bool)
-        for rows, cells, square in pieces(lo, hi):
-            # mode "clip": the default mode would buffer ``out``
-            hit = np.take(want, cells, out=flags[:rows.size], mode="clip").reshape(rows.shape)
-            np.copyto(hit[:, :len(square)], False, where=square)
-            gathered.append(rows[hit])
-
-    _blocks.run(gather, blocks, n * n)
-    picked = np.concatenate(gathered)
-    if want[0]:
-        picked = picked[picked > 0]
+    picked = np.concatenate([part[want[cells].reshape(part.shape)] for part, cells in parts()])
+    picked = picked[picked > 0]  # cell 0 holds NaN and the non-positive too
     # a rank less the positives of the cells below it that were not gathered
     at -= (ends - np.cumsum(np.where(want, hist, 0)))[cell]
     picked.partition(np.unique(at))
@@ -665,13 +626,13 @@ def quantile_grid(distances: np.ndarray, size: int) -> np.ndarray:
     ``size`` 1); duplicate candidates collapse, so the grid may be shorter
     than requested.
     """
-    positive = distances[distances > 0]
-    positive.sort()
-    return _quantiles(positive, size)
+    return _quantiles(np.array(distances).ravel(), size)
 
 
-def _quantiles(positive: np.ndarray, size: int) -> np.ndarray:
-    """The grid of :func:`quantile_grid` from the sorted positive distances."""
+def _quantiles(pairs: np.ndarray, size: int) -> np.ndarray:
+    """The grid of :func:`quantile_grid` from the 1-D ``pairs``, sorted in place."""
+    pairs.sort()  # NaNs last
+    positive = pairs[np.searchsorted(pairs, 0.0, side="right"):np.searchsorted(pairs, np.nan)]
     return np.unique(positive[_ranks(positive.size, size)])
 
 

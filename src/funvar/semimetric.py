@@ -213,7 +213,7 @@ def pairwise_from_features(
     sa = fa * sqrt_w
     n = len(sa)
     if fb is fa:
-        if _blocks.inline(n * n):  # one pass, straight into the output
+        if len(_blocks.triangle_blocks(n)) == 1:  # one pass, straight into the output
             return squareform(pdist(sa, "euclidean"))
         out = np.empty((n, n))
 

@@ -106,6 +106,9 @@ def test_config_validation():
     {"stages": [("direct", SemiMetricSpec.deriv_l2(), False)]},
     {"h_m": 10**400},  # an int too large for a float
     {"stages": [("direct", SemiMetricSpec.deriv_l2(), 10**400)]},
+    {"grid_size": 2.5},
+    {"grid_size": True},
+    {"grid_size": "20"},
 ])
 def test_pipeline_config_refuses_a_bad_field_when_built(bad):
     with pytest.raises(ValueError):
@@ -135,6 +138,7 @@ def test_every_fit_and_pipeline_accepts_a_numpy_integer_bandwidth():
     assert bench.fit_pipeline(cs, y, cfg).variances[0].bandwidth == 2.0
     model = json.loads(bench.canonical_json(cfg.to_config()))
     assert (model["h_m"], model["h_v"]) == (2.0, 2.0)
+    assert PipelineConfig(spec, grid_size=np.int64(20)).grid_size == 20
 
 
 def test_pipeline_config_refuses_only_identical_stages():

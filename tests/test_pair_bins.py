@@ -280,7 +280,7 @@ def test_in_place_weights_are_bit_identical_to_the_reference(kernel, exclude_dia
 
 
 def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry(monkeypatch):
-    # from n = 512 the pairs take several triangle blocks, read in place on the pool
+    # from n = 512 the pairs take several triangle blocks and are read in place
     monkeypatch.setattr(blocks, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(12)
     for n, size in ((7, 5), (30, 20), (41, 33), (600, 20)):
@@ -292,16 +292,21 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry(monkeypat
         want = np.unique(np.quantile(off[off > 0], qs, method="inverted_cdf"))
         assert_array_equal(default_bandwidth_grid(d, size), want)
         assert_array_equal(TrainedMetric(SPEC0, cs).grid(size), want)
-    # matrices that no distance gives: zeros, -0.0 and negatives (left out),
-    # ties, inf (kept) and NaN (left out), in and out of the upper triangle
+    def odd_matrix(n):
+        """A matrix that no distance gives: zeros, -0.0 and negatives (left
+        out), ties, inf (kept) and NaN (left out), in and out of the upper
+        triangle."""
+        d = rng.integers(-2, 5, size=(n, n)).astype(float)
+        special = rng.random((n, n))
+        d[special < 0.1] = np.nan
+        d[special > 0.9] = np.inf
+        d[(0.45 < special) & (special < 0.5)] = -0.0
+        d[(0.5 < special) & (special < 0.55)] = -np.inf
+        return d
+
     for n, size in ((2, 1), (9, 4), (40, 20), (61, 300), (600, 20), (700, 1), (1100, 300)):
         for _ in range(5 if n < 600 else 2):
-            d = rng.integers(-2, 5, size=(n, n)).astype(float)
-            special = rng.random((n, n))
-            d[special < 0.1] = np.nan
-            d[special > 0.9] = np.inf
-            d[(0.45 < special) & (special < 0.5)] = -0.0
-            d[(0.5 < special) & (special < 0.55)] = -np.inf
+            d = odd_matrix(n)
             upper = squareform(d, checks=False)
             if not (upper > 0).any():
                 with pytest.raises(ValueError, match="no positive distance"):
@@ -326,6 +331,15 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry(monkeypat
         d[1, 0] = d[3, 2] = 1.0  # below the diagonal: left out
         with pytest.raises(ValueError, match="no positive distance"):
             default_bandwidth_grid(d, 3)
+    # pieces of one row each, and of several rows; the last piece's
+    # rectangle d[a:n, n:] is empty
+    for piece in (1, 100):
+        monkeypatch.setattr(estimators, "GRID_PIECE", piece)
+        for n in (512, 600):
+            d = odd_matrix(n)
+            for size in (1, 20, 300):
+                assert_array_equal(default_bandwidth_grid(d, size),
+                                   quantile_grid(squareform(d, checks=False), size))
 
 
 def test_the_grid_of_a_large_matrix_reads_its_pairs_in_place(monkeypatch):

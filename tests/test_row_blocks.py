@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 from pathlib import Path
 
@@ -131,6 +132,21 @@ def test_distances_above_the_threshold_are_the_whole_matrix_ones(ex2, monkeypatc
         pairwise_from_features(fq, metric.features, metric.weights),
         cdist(fq * np.sqrt(metric.weights), scaled),
     )
+
+
+def test_self_distances_on_one_cpu_make_no_condensed_copy(monkeypatch):
+    # the triangle blocks run inline, each with its own small pdist, so no
+    # n(n - 1)/2 vector of the whole set is made beside the output
+    one_worker(monkeypatch)
+    f = np.random.default_rng(87).standard_normal((2000, 3))
+    tracemalloc.start()
+    try:
+        d = pairwise_from_features(f, f, np.ones(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_array_equal(d, squareform(pdist(f)))
+    assert peak < 1.25 * d.nbytes
 
 
 def test_a_pass_below_the_threshold_runs_inline(monkeypatch):
