@@ -7,6 +7,8 @@ smoothing, with the variance taken either from squared residuals or from
 the smoothed squared responses minus the squared mean.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     ChemoConfig,
     ChemoReport,
@@ -85,68 +87,6 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthSelectionError",
-    "ChemoConfig",
-    "ChemoReport",
-    "Curve",
-    "CurveSet",
-    "CvResult",
-    "EmptyNeighborhoodError",
-    "ExperimentAbortError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "Grid",
-    "KERNEL_KINDS",
-    "MeanFit",
-    "POLICY_ERROR",
-    "POLICY_FALLBACK",
-    "PipelineConfig",
-    "Prediction",
-    "ReplicationRecord",
-    "SemiMetricSpec",
-    "SimSpec",
-    "SimulatedDataset",
-    "TrainedMetric",
-    "VarianceFit",
-    "chemo_workflow",
-    "convergence_check",
-    "cv_bandwidth",
-    "default_bandwidth_grid",
-    "derivative",
-    "derivative_set",
-    "discrete_mse",
-    "distance",
-    "distance_matrix",
-    "fit_mean",
-    "fit_pipeline",
-    "fit_variance",
-    "gen_brownian_curves",
-    "gen_dataset",
-    "gen_sin_curves",
-    "integrate",
-    "iter_curves_csv",
-    "kernel_eval",
-    "nw_estimate",
-    "nw_weights",
-    "predict_mean",
-    "predict_mean_set",
-    "predict_variance",
-    "predict_variance_insample",
-    "predict_variance_set",
-    "read_curves_csv",
-    "read_responses_csv",
-    "rng_stream",
-    "run_experiment",
-    "run_replication",
-    "serialize_report",
-    "small_ball_fraction",
-    "smoother_matrix",
-    "squared_residuals",
-    "train_projection",
-    "true_functionals",
-    "uniform_grid",
-    "weight_matrix",
-    "write_curves_csv",
-    "write_responses_csv",
-]
+# every public name imported above, and nothing else: no submodule, no _-name
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -3,9 +3,10 @@
 Every pass over a matrix of pairs (the distances, the kernel smooths and the
 binned sums of the bandwidth search) is cut here into row blocks of about
 ``BLOCK_CELLS`` entries, each writing its own slice of one preallocated
-output. The blocks call only numpy and scipy, and most of their large calls
-(ufuncs, sorts, take, cdist) release the GIL, so on several CPUs the blocks
-run at once on a pool made on first use, one thread per usable CPU.
+output. The blocks call only numpy and scipy's compiled distance kernels,
+and most of their large calls (ufuncs, sorts, take, cdist) release the GIL,
+so on several CPUs the blocks run at once on a pool made on first use, one
+thread per usable CPU.
 ``np.bincount`` holds the GIL for much of each call: over 2^24 keys, another
 thread stalled for about 25 ms of a 60 ms call, against under 1 ms during an
 ``np.multiply``. So the bincounts of the binned CV sums run mostly one at a
@@ -16,7 +17,9 @@ only on the shape of the pass, never on the number of threads. Rows that
 need not be in memory at once (the query curves of ``funvar predict``) go
 through in chunks of :func:`chunk_rows` rows, one pass per chunk. Small
 passes run inline take their temporaries from :func:`scratch`, which the
-calling thread keeps from one pass to the next.
+calling thread keeps from one pass to the next; any temporary of up to a
+block comes from the C allocator's heap, not from fresh pages (see the
+array made and freed at import).
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ CHUNK_CELLS = 2 * MIN_CELLS
 # n x n block of a pass at n = 256. Larger ones, kept for good, would add
 # megabytes to the resident memory of the larger runs
 SCRATCH_CELLS = 1 << 16
+
+# glibc's malloc maps fresh pages for a request above its mmap threshold
+# (128 KB at start) and unmaps them on free, but freeing such a mapping
+# raises the threshold to its size. So one BLOCK_CELLS array is made and
+# freed here: temporaries of up to a block then reuse the heap's pages,
+# where at n = 200 they took about 110 page faults a replication
+np.empty(BLOCK_CELLS)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -176,13 +177,11 @@ class ExperimentReport:
     wall_clock: float
 
     def to_dict(self) -> dict:
-        fallbacks: dict[str, int] = {}
-        clips: dict[str, int] = {}
+        # update, not +, which would drop the zero totals
+        fallbacks, clips = Counter(), Counter()
         for rec in self.records:
-            for k, c in rec.fallbacks.items():
-                fallbacks[k] = fallbacks.get(k, 0) + c
-            for k, c in rec.clips.items():
-                clips[k] = clips.get(k, 0) + c
+            fallbacks.update(rec.fallbacks)
+            clips.update(rec.clips)
         return {
             "config": self.config.to_dict(),
             "replications": [rec.to_dict() for rec in self.records],

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from . import _blocks
 from .curves import Curve, CurveSet
@@ -24,6 +23,7 @@ from .semimetric import (
     feature_matrix,
     feature_weights,
     pairwise_from_features,
+    to_condensed,
     train_projection,
 )
 
@@ -559,7 +559,7 @@ def default_bandwidth_grid(dist: np.ndarray, size: int = 20) -> np.ndarray:
         raise ValueError("expected a square self-distance matrix")
     if len(_blocks.triangle_blocks(len(d))) > 1:
         return _select_in_place(d, size)
-    return _quantiles(squareform(d, checks=False), size)
+    return _quantiles(to_condensed(d), size)
 
 
 # cells of the histogram of the pairs; pairs that a piece of rows reads at a time
@@ -592,7 +592,7 @@ def _select_in_place(d: np.ndarray, size: int) -> np.ndarray:
         n, a, flat = len(d), 0, np.empty(max(GRID_PIECE, len(d)))
         while a < n:
             b = min(n, a + max(1, GRID_PIECE // (n - a)))
-            for part in (squareform(d[a:b, a:b], checks=False), d[a:b, b:]):
+            for part in (to_condensed(d[a:b, a:b]), d[a:b, b:]):
                 t = flat[:part.size]
                 np.minimum(part, cap, out=t.reshape(part.shape))
                 t *= scale

@@ -11,18 +11,89 @@ quadrature. A B-spline derivative of order >= 1 is a fixed linear map of
 the samples, so its distance is taken exactly in that map's rank: the
 features are the samples times a T x r matrix P (r = 23 for order 1, 20
 knots, degree 3) with unit weights, as projection scores are.
+
+Every Euclidean distance, and every change between a condensed vector of
+pairs and its square matrix, goes through the four helpers below
+(:func:`euclidean_pdist`, :func:`euclidean_cdist`, :func:`to_square`,
+:func:`to_condensed`). They call scipy's own compiled kernels, the ones
+that ``scipy.spatial.distance`` calls for the same arguments, loaded
+straight from their two extension files. Importing ``scipy.spatial``
+instead would load its KD-tree, Qhull, ``scipy.sparse``, ``scipy.linalg``
+and ``scipy.special``: about 0.3 s and 30 MB more at every start.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import _blocks
 from .curves import Curve, CurveSet, Grid, _check_spline, _spline_operator, derivative_set
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``scipy.spatial.<name>``, loaded from its
+    file without running the ``__init__`` of ``scipy`` or ``scipy.spatial``;
+    ImportError, naming the file, where the scipy build lacks it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("funvar needs scipy")
+    stem = os.path.join(scipy.submodule_search_locations[0], "spatial", name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(f"scipy.spatial.{name}", stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy build lacks {stem}{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+
+
+_pybind = _scipy_extension("_distance_pybind")
+_wrap = _scipy_extension("_distance_wrap")
+
+
+def euclidean_pdist(x: np.ndarray) -> np.ndarray:
+    """The condensed Euclidean distances among the rows of ``x``, as
+    ``scipy.spatial.distance.pdist(x)``."""
+    return _pybind.pdist_euclidean(x)
+
+
+def euclidean_cdist(xa: np.ndarray, xb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Euclidean distances between the rows of ``xa`` and of ``xb``,
+    written to ``out`` if given, as ``scipy.spatial.distance.cdist``."""
+    return _pybind.cdist_euclidean(xa, xb, out=out)
+
+
+def to_square(v: np.ndarray) -> np.ndarray:
+    """The symmetric matrix, zero on its diagonal, of the condensed pairs
+    ``v``, as ``scipy.spatial.distance.squareform(v)``: 1 x 1 for no pairs."""
+    v = np.ascontiguousarray(v)
+    n = (1 + math.isqrt(1 + 8 * v.size)) // 2
+    if n * (n - 1) // 2 != v.size:
+        raise ValueError(f"{v.size} is not a number of pairs n(n - 1)/2")
+    m = np.zeros((n, n), v.dtype)
+    if v.size:
+        _wrap.to_squareform_from_vector_wrap(m, v)
+    return m
+
+
+def to_condensed(m: np.ndarray) -> np.ndarray:
+    """The pairs (i, j > i) of the square ``m`` in row order, unchecked, as
+    ``scipy.spatial.distance.squareform(m, checks=False)``."""
+    m = np.ascontiguousarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    v = np.zeros(len(m) * (len(m) - 1) // 2, m.dtype)
+    if v.size:
+        _wrap.to_vector_from_squareform_wrap(m, v)
+    return v
+
 
 SEMIMETRIC_KINDS = ("deriv_l2", "pca_projection")
 DERIV_METHODS = ("finite_diff", "bspline")
@@ -214,13 +285,13 @@ def pairwise_from_features(
     n = len(sa)
     if fb is fa:
         if len(_blocks.triangle_blocks(n)) == 1:  # one pass, straight into the output
-            return squareform(pdist(sa, "euclidean"))
+            return to_square(euclidean_pdist(sa))
         out = np.empty((n, n))
 
         def upper(lo, hi):
             # the pairs among the block's rows, then with every later row
-            out[lo:hi, lo:hi] = squareform(pdist(sa[lo:hi], "euclidean"))
-            rest = cdist(sa[lo:hi], sa[hi:], "euclidean")
+            out[lo:hi, lo:hi] = to_square(euclidean_pdist(sa[lo:hi]))
+            rest = euclidean_cdist(sa[lo:hi], sa[hi:])
             out[lo:hi, hi:] = rest
             out[hi:, lo:hi] = rest.T
 
@@ -230,7 +301,7 @@ def pairwise_from_features(
     out = np.empty((n, len(sb)))
 
     def rows(lo, hi):
-        cdist(sa[lo:hi], sb, "euclidean", out=out[lo:hi])
+        euclidean_cdist(sa[lo:hi], sb, out=out[lo:hi])
 
     _blocks.run(rows, _blocks.row_blocks(n, len(sb)), out.size)
     return out

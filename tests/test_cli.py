@@ -742,24 +742,21 @@ def test_every_csv_the_cli_writes_is_the_bytes_csv_writes(tmp_path):
         assert path.read_bytes() == ref.getvalue().encode(), path.name
 
 
-def test_no_run_loads_scipy_interpolate(tmp_path):
-    # the B-spline operator is built in numpy: neither the package, a
-    # replication, B-spline features nor a B-spline fit and predict load it
-    src = str(Path(funvar.__file__).resolve().parent.parent)
-    script = """
+RUNS_AND_LOADED_MODULES = """
 import contextlib, io, sys
+names = sys.argv[2:]
 loaded = []
 import funvar
-loaded.append("scipy.interpolate" in sys.modules)
+loaded.append([m for m in names if m in sys.modules])
 from funvar.bench import ExperimentConfig, run_replication
 from funvar.cli import main
 from funvar.curves import uniform_grid, CurveSet
 from funvar.semimetric import SemiMetricSpec, feature_matrix
 run_replication(ExperimentConfig("ex3", n=40, n_reps=1), 0)
-loaded.append("scipy.interpolate" in sys.modules)
+loaded.append([m for m in names if m in sys.modules])
 cs = CurveSet(uniform_grid(31), [[float(i * j) for j in range(31)] for i in range(3)])
 feature_matrix(SemiMetricSpec.deriv_l2(order=1, deriv_method="bspline", knots=5), cs)
-loaded.append("scipy.interpolate" in sys.modules)
+loaded.append([m for m in names if m in sys.modules])
 out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["--seed", "5", "--output-dir", out, "simulate", "--example", "ex3",
@@ -769,14 +766,35 @@ with contextlib.redirect_stdout(io.StringIO()):
                    "--order", "1", "--knots", "5", "--grid-size", "6"]),
              main(["--output-dir", out, "predict", "--model", out + "/model.json",
                    "--curves", out + "/ex3_curves.csv"])]
-loaded.append("scipy.interpolate" in sys.modules)
+loaded.append([m for m in names if m in sys.modules])
 print(codes, loaded)
 """
+
+
+def loaded_during_runs(tmp_path, *modules) -> str:
+    """Which of ``modules`` a fresh process has loaded after importing the
+    package, a replication, B-spline features, and a simulate, fit and
+    predict; printed with the exit codes of those three commands."""
+    src = str(Path(funvar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    r = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
-                       capture_output=True, text=True)
-    assert r.stdout.strip() == "[0, 0, 0] [False, False, False, False]"
+    r = subprocess.run([sys.executable, "-c", RUNS_AND_LOADED_MODULES, str(tmp_path), *modules],
+                       env=env, check=True, capture_output=True, text=True)
     assert (tmp_path / "predictions.csv").exists()
+    return r.stdout.strip()
+
+
+def test_no_run_loads_scipy_interpolate(tmp_path):
+    # the B-spline operator is built in numpy: neither the package, a
+    # replication, B-spline features nor a B-spline fit and predict load it
+    assert loaded_during_runs(tmp_path, "scipy.interpolate") == "[0, 0, 0] [[], [], [], []]"
+
+
+def test_no_run_loads_scipy_spatial_or_its_imports(tmp_path):
+    # the distances come from scipy's two compiled kernel modules alone,
+    # not from scipy.spatial, which would load all of these
+    modules = ("scipy.spatial", "scipy.spatial.distance", "scipy.sparse", "scipy.linalg",
+               "scipy.special")
+    assert loaded_during_runs(tmp_path, *modules) == "[0, 0, 0] [[], [], [], []]"
 
 
 def test_a_rank_deficient_spline_design_exits_4(tmp_path):

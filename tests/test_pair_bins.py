@@ -342,14 +342,10 @@ def test_grid_from_the_upper_triangle_matches_every_off_diagonal_entry(monkeypat
                                    quantile_grid(squareform(d, checks=False), size))
 
 
-def test_the_grid_of_a_large_matrix_reads_its_pairs_in_place(monkeypatch):
+def test_the_grid_of_a_large_matrix_reads_its_pairs_in_place():
     cs, _ = random_set(1200, 14)
     d = distance_matrix(SPEC0, cs)
     want = quantile_grid(squareform(d, checks=False), 20)
-    # two blocks at a time, whatever the number of CPUs: each holds its own
-    # temporaries
-    monkeypatch.setattr(blocks, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(blocks, "_pool", None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -357,8 +353,6 @@ def test_the_grid_of_a_large_matrix_reads_its_pairs_in_place(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-        if blocks._pool is not None:
-            blocks._pool.shutdown()
     assert_array_equal(grid, want)
     # a copy of the pairs alone would take d.nbytes / 2
     assert peak < d.nbytes / 8

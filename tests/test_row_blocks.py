@@ -29,6 +29,7 @@ from funvar.kernels import (
     EmptyNeighborhoodError,
     weight_matrix,
 )
+import funvar.semimetric as semimetric
 from funvar.semimetric import SemiMetricSpec, distance_matrix, pairwise_from_features
 from funvar.simulate import SimSpec, gen_dataset
 
@@ -181,6 +182,66 @@ def test_a_pass_below_the_threshold_runs_inline(monkeypatch):
     monkeypatch.setattr(blocks, "_shared_pool", lambda: used.append(1) or pool())
     assert_array_equal(pairwise_from_features(f, f, np.ones(3)), squareform(pdist(f)))
     assert used
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 511])
+def test_the_kernel_helpers_are_scipys_distance_functions(n):
+    f = np.random.default_rng(88 + n).standard_normal((n, 4))
+    g = f[::-1, 1:]  # a non-contiguous view
+    for x in (f, g):
+        v = semimetric.euclidean_pdist(x)
+        assert_array_equal(v, pdist(x))
+        assert_array_equal(semimetric.to_square(v), squareform(pdist(x)))
+        assert_array_equal(pairwise_from_features(x, x, np.ones(x.shape[1])),
+                           squareform(pdist(x)))
+        m = squareform(pdist(x))
+        for sq in (m, m[::-1, ::-1], m[:, :]):
+            assert_array_equal(semimetric.to_condensed(sq), squareform(sq, checks=False))
+        y = f[: min(n, 3), : x.shape[1]] + 0.5
+        out = np.full((n, len(y)), np.nan)
+        assert semimetric.euclidean_cdist(x, y, out=out) is out
+        assert_array_equal(out, cdist(x, y))
+        assert_array_equal(semimetric.euclidean_cdist(x, y), cdist(x, y))
+    # no pairs: squareform's 1 x 1 zero matrix, and back to no pairs
+    assert_array_equal(semimetric.to_square(np.empty(0)), squareform(np.empty(0)))
+    assert semimetric.to_condensed(np.zeros((1, 1))).shape == (0,)
+    with pytest.raises(ValueError):
+        semimetric.to_square(np.ones(2))
+    with pytest.raises(ValueError):
+        semimetric.to_condensed(np.ones((2, 3)))
+
+
+def test_a_scipy_build_without_a_kernel_file_names_it():
+    with pytest.raises(ImportError, match="_no_such_kernels"):
+        semimetric._scipy_extension("_no_such_kernels")
+
+
+FAULTS_PER_REPLICATION = """
+import resource, sys
+from funvar.bench import ExperimentConfig, run_replication
+from funvar.simulate import SimSpec, gen_dataset
+cfg = ExperimentConfig("ex3", n=200, n_reps=1)
+ds = gen_dataset(SimSpec("ex3", 200, 0, 0))
+for k in range(5):  # warm up
+    run_replication(cfg, k, dataset=ds)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(20):
+    run_replication(cfg, k, dataset=ds)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc")
+def test_small_replications_reuse_the_heap_without_page_faults():
+    # the temporaries of an ex3 replication at n = 200 are up to a block of
+    # 1 MB: with glibc's first mmap threshold (128 KB) each one would be
+    # mapped afresh, about 110 page faults a replication
+    src = str(Path(blocks.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", FAULTS_PER_REPLICATION], env=env, check=True,
+                       capture_output=True, text=True)
+    assert float(r.stdout) <= 10
 
 
 def test_a_failed_block_raises_once_every_block_has_finished(monkeypatch):

@@ -47,10 +47,11 @@ the dataset and runs the replication, with every run in
 ``cold_start`` holds ``import funvar`` alone, in ``COLD_STARTS`` fresh
 Python processes: the median and every run of its wall time (measured
 inside the process, around the import) and of the process's peak resident
-memory, and whether the import loaded ``scipy.interpolate``. Its
-``bspline_fit`` key holds the same for one ``funvar fit`` of the CLI
-training curves with ``CLI_FIT_FLAGS`` (a B-spline semi-metric) per fresh
-process, timed from before the package is imported to the end of the fit.
+memory, and whether the import loaded ``scipy.interpolate`` and
+``scipy.spatial``. Its ``bspline_fit`` key holds the same for one
+``funvar fit`` of the CLI training curves with ``CLI_FIT_FLAGS`` (a
+B-spline semi-metric) per fresh process, timed from before the package is
+imported to the end of the fit.
 
 The output also records the machine (CPU model, core count, the threads
 that run the package's row blocks, Python, numpy, scipy) and a digest of
@@ -219,11 +220,13 @@ CLI_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from funvar.cli import 
            "sys.exit(main(sys.argv[2:]))"
 
 
+# the wall time, then whether each of these was loaded
+LOADED = "'scipy.interpolate' in sys.modules, 'scipy.spatial' in sys.modules"
 COLD_IMPORT = "import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); " \
-              "import funvar; print(time.perf_counter() - t0, 'scipy.interpolate' in sys.modules)"
+              f"import funvar; print(time.perf_counter() - t0, {LOADED})"
 COLD_FIT = "import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); " \
            "from funvar.cli import main; rc = main(sys.argv[2:]); " \
-           "print(time.perf_counter() - t0, 'scipy.interpolate' in sys.modules); sys.exit(rc)"
+           f"print(time.perf_counter() - t0, {LOADED}); sys.exit(rc)"
 COLD_STARTS = 5
 REPLICATION = "import sys; sys.path.insert(0, sys.argv[1]); " \
               "from funvar.bench import ExperimentConfig, run_replication; " \
@@ -256,39 +259,38 @@ def replication_peaks(src: Path) -> list:
     return peaks
 
 
-def cold_runs(name: str, script: str, src: Path, *argv) -> tuple[list, list, bool]:
+def cold_runs(name: str, script: str, src: Path, *argv) -> tuple[list, dict]:
     """``script`` with ``src`` and ``argv`` in ``COLD_STARTS`` fresh
-    processes: the wall time each prints on its last line, each one's peak
-    resident memory, and whether ``scipy.interpolate`` was loaded."""
+    processes: the wall time each prints on its last line, and the
+    readings beside it: each one's peak resident memory, and whether
+    ``scipy.interpolate`` and ``scipy.spatial`` were loaded."""
     walls, peaks = [], []
     for _ in range(COLD_STARTS):
         out, peak_mb = fresh_process("-c", script, str(src.resolve()), *argv)
-        wall, interp = out.splitlines()[-1].split()
+        wall, interp, spatial = out.splitlines()[-1].split()
         walls.append(float(wall))
         peaks.append(peak_mb)
-    interp = interp == "True"
+    interp, spatial = interp == "True", spatial == "True"
     print(f"cold start: {name} {statistics.median(walls):.3f} s, "
-          f"peak RSS {statistics.median(peaks):.1f} MB, scipy.interpolate loaded: {interp}")
-    return walls, peaks, interp
+          f"peak RSS {statistics.median(peaks):.1f} MB, scipy.interpolate loaded: {interp}, "
+          f"scipy.spatial loaded: {spatial}")
+    return walls, {"peak_rss_mb_median": statistics.median(peaks), "peak_rss_mb_all": peaks,
+                   "scipy_interpolate_loaded": interp, "scipy_spatial_loaded": spatial}
 
 
 def cold_start(src: Path, data: str) -> dict:
     """``import funvar`` (from ``src``) alone, then a B-spline ``funvar fit``
     of the training files in ``data``, each in ``COLD_STARTS`` fresh processes."""
-    walls, peaks, interp = cold_runs("import", COLD_IMPORT, src)
-    fit_walls, fit_peaks, fit_interp = cold_runs(
+    walls, readings = cold_runs("import", COLD_IMPORT, src)
+    fit_walls, fit_readings = cold_runs(
         "bspline fit", COLD_FIT, src, "--output-dir", data, "fit",
         "--curves", f"{data}/train_curves.csv", "--responses", f"{data}/train_responses.csv",
         *CLI_FIT_FLAGS, "--model-out", "cold_model.json")
     return {"runs": COLD_STARTS, "import_s_median": statistics.median(walls),
-            "import_s_all": walls, "peak_rss_mb_median": statistics.median(peaks),
-            "peak_rss_mb_all": peaks, "scipy_interpolate_loaded": interp,
+            "import_s_all": walls, **readings,
             "bspline_fit": {"fit_flags": list(CLI_FIT_FLAGS), "n_train": CLI_TRAIN,
                             "wall_s_median": statistics.median(fit_walls),
-                            "wall_s_all": fit_walls,
-                            "peak_rss_mb_median": statistics.median(fit_peaks),
-                            "peak_rss_mb_all": fit_peaks,
-                            "scipy_interpolate_loaded": fit_interp}}
+                            "wall_s_all": fit_walls, **fit_readings}}
 
 
 def cli_round_trip(cli, clock: LayerClock, missing: set, src: Path) -> tuple[dict, dict]:
