@@ -15,11 +15,9 @@ bincounts, reads its pairs inline. A pass of fewer than ``MIN_CELLS``
 entries, or any pass on a single CPU, runs inline. Block boundaries depend
 only on the shape of the pass, never on the number of threads. Rows that
 need not be in memory at once (the query curves of ``funvar predict``) go
-through in chunks of :func:`chunk_rows` rows, one pass per chunk. Small
-passes run inline take their temporaries from :func:`scratch`, which the
-calling thread keeps from one pass to the next; any temporary of up to a
-block comes from the C allocator's heap, not from fresh pages (see the
-array made and freed at import).
+through in chunks of :func:`chunk_rows` rows, one pass per chunk. Every
+temporary of up to a block comes from the C allocator's heap, not from
+fresh pages, because of the array made and freed at import.
 """
 
 from __future__ import annotations
@@ -39,10 +37,6 @@ BLOCK_CELLS = 1 << 17
 # a chunk of rows that a pass streams (4 MB of float64): twice MIN_CELLS,
 # so each chunk's pass still runs on the pool
 CHUNK_CELLS = 2 * MIN_CELLS
-# the largest buffer a thread keeps for a slot of :func:`scratch`: the whole
-# n x n block of a pass at n = 256. Larger ones, kept for good, would add
-# megabytes to the resident memory of the larger runs
-SCRATCH_CELLS = 1 << 16
 
 # glibc's malloc maps fresh pages for a request above its mmap threshold
 # (128 KB at start) and unmaps them on free, but freeing such a mapping
@@ -53,7 +47,6 @@ np.empty(BLOCK_CELLS)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_kept = threading.local()
 
 
 def usable_cpus() -> int:
@@ -113,36 +106,11 @@ def run(fn: Callable[[int, int], None], bounds: Sequence[tuple[int, int]],
         future.result()
 
 
-def scratch(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array of ``shape`` and ``dtype`` for a temporary of
-    a row block. A thread that runs its passes inline keeps the buffer of
-    each (slot, dtype) of up to ``SCRATCH_CELLS`` entries and hands it out
-    again on the next call, so that a run of small passes does not give its
-    memory back to the system and fault it in again; a pool worker, or a
-    larger request, gets a new array. The caller must overwrite it before
-    reading it, let no result alias it, and not ask for the same slot again
-    while it is in use."""
-    cells = math.prod(shape)
-    if cells > SCRATCH_CELLS or getattr(_kept, "pool_worker", False):
-        return np.empty(shape, dtype)
-    bufs = _kept.__dict__.setdefault("bufs", {})
-    key = (slot, np.dtype(dtype))
-    buf = bufs.get(key)
-    if buf is None or buf.size < cells:
-        buf = bufs[key] = np.empty(cells, dtype)
-    return buf[:cells].reshape(shape)
-
-
-def _mark_pool_worker() -> None:
-    _kept.pool_worker = True
-
-
 def _shared_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(usable_cpus(), thread_name_prefix="funvar-rows",
-                                       initializer=_mark_pool_worker)
+            _pool = ThreadPoolExecutor(usable_cpus(), thread_name_prefix="funvar-rows")
         return _pool
 
 

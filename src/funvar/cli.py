@@ -14,6 +14,7 @@ rename) with the process umask; input files are never modified.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -67,13 +68,25 @@ class CliIoError(RuntimeError):
     """A file could not be read, parsed, or written."""
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated flag value; empty entries are skipped."""
+    return tuple(name for name in text.split(",") if name)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     """The integers of a comma-separated flag value; empty entries are skipped."""
     try:
-        return tuple(int(o) for o in text.split(",") if o != "")
+        return tuple(int(o) for o in _names(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+
+
+def _config(cls, args, **given):
+    """A ``cls`` config from ``given`` and each field that ``args`` holds
+    under the same name (an argparse ``dest`` named after the field)."""
+    same = {f.name for f in dataclasses.fields(cls)} & vars(args).keys() - given.keys()
+    return cls(**{name: getattr(args, name) for name in same}, **given)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -199,12 +212,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--out", default="predictions.csv")
 
     p = sub.add_parser("bench", help="Monte-Carlo benchmark across replications")
-    p.add_argument("--example", choices=DESIGNS, required=True)
+    p.add_argument("--example", dest="design", choices=DESIGNS, required=True)
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", dest="n_reps", metavar="REPS", type=int, default=100)
     _add_semimetric_flags(p)
     _add_smoother_flags(p)
-    p.add_argument("--methods", default=",".join(VARIANCE_METHODS),
+    p.add_argument("--methods", type=_names, default=",".join(VARIANCE_METHODS),
                    help=f"comma-separated subset of {','.join(VARIANCE_METHODS)}")
     p.add_argument("--out", default="report.json")
 
@@ -350,19 +363,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = tuple(m for m in args.methods.split(",") if m)
-    order = design_default_spec(args.example).order if args.order is None else args.order
-    cfg = ExperimentConfig(
-        args.example,
-        n=args.n,
-        n_reps=args.reps,
-        base_seed=args.seed,
-        spec=_semimetric_from_args(args, order),
-        kernel=args.kernel,
-        grid_size=args.grid_size,
-        self_inclusion=args.self_inclusion,
-        methods=methods,
-    )
+    order = design_default_spec(args.design).order if args.order is None else args.order
+    cfg = _config(ExperimentConfig, args, base_seed=args.seed,
+                  spec=_semimetric_from_args(args, order))
     report = run_experiment(cfg, threads=args.threads)
     out = _out_path(args, args.out)
     _write_text(out, serialize_report(report))
@@ -375,30 +378,19 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_chemo(args) -> int:
-    orders = args.orders
     # classify unreadable/unparsable inputs as I/O failures up front; any
     # ValueError out of the workflow itself is then a computation error
     curves = _read_curves(args.curves)
     y = _read_responses(args.responses)
-    cfg = ChemoConfig(
-        curves_file=args.curves,
-        responses_file=args.responses,
-        train_size=args.train_size,
-        mean_order=args.mean_order,
-        candidate_orders=orders,
-        deriv_method=args.deriv_method,
-        knots=args.knots,
-        degree=args.degree,
-        kernel=args.kernel,
-        grid_size=args.grid_size,
-    )
+    cfg = _config(ChemoConfig, args, curves_file=args.curves, responses_file=args.responses,
+                  candidate_orders=args.orders)
     report = chemo_workflow(cfg, curves, y)
     out_json = _out_path(args, args.report_out)
     _write_text(out_json, serialize_report(report))
     out_csv = _out_path(args, args.pairs_out)
     cols = (np.arange(len(report.v_hat)), report.v_hat, report.r_hat)
     _write_rows(out_csv, ["index", "v_hat", "r_squared"], zip(*(c.tolist() for c in cols)))
-    mses = " ".join(f"order{o}={report.val_mse[o]:.6g}" for o in orders)
+    mses = " ".join(f"order{o}={report.val_mse[o]:.6g}" for o in cfg.candidate_orders)
     print(f"chosen order: {report.chosen_order} ({mses})")
     print(f"wrote {out_json}")
     print(f"wrote {out_csv}")

@@ -479,7 +479,7 @@ class PairBins:
         def bin_rows(lo, hi):
             bins = self.bins[lo:hi]
             bins.fill(k)
-            counted = _blocks.scratch("counted", bins.shape, bool)
+            counted = np.empty(bins.shape, bool)
             for h in hs:
                 bins -= counts(dist[lo:hi], h, out=counted)
 
@@ -504,10 +504,10 @@ class PairBins:
         def sum_rows(lo, hi):
             bins = self.bins[lo:hi]
             b = hi - lo
-            keys = _blocks.scratch("keys", bins.shape, np.intp)
+            keys = np.empty(bins.shape, np.intp)
             np.add(np.arange(b)[:, None] * (k + 1), bins, out=keys)
             # one buffer holds the weights y_j of the row block, then d^p y_j
-            w = _blocks.scratch("w", bins.shape, float)
+            w = np.empty(bins.shape)
 
             def cumulate(weights, out):
                 m = np.bincount(keys.ravel(), weights, minlength=b * (k + 1)).reshape(b, k + 1)
@@ -587,14 +587,12 @@ def _select_in_place(d: np.ndarray, size: int) -> np.ndarray:
     cap = GRID_CELLS / scale  # d * scale stays finite below it
 
     def parts():
-        """Each part of the pairs with its flat cells, all in one buffer: cells
-        made anew for each piece left about 1 MB more peak RSS at n = 2000."""
-        n, a, flat = len(d), 0, np.empty(max(GRID_PIECE, len(d)))
+        """Each part of the pairs with its flat cells."""
+        n, a = len(d), 0
         while a < n:
             b = min(n, a + max(1, GRID_PIECE // (n - a)))
             for part in (to_condensed(d[a:b, a:b]), d[a:b, b:]):
-                t = flat[:part.size]
-                np.minimum(part, cap, out=t.reshape(part.shape))
+                t = np.minimum(part, cap).ravel()
                 t *= scale
                 np.fmax(t, 0, out=t)  # NaN and the non-positive to 0
                 np.copyto(t.view(np.intp), t, casting="unsafe")  # in place: 1-D, same item size
